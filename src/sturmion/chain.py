@@ -35,12 +35,6 @@ class NonPositiveU(ChainError):
     """Some u_n <= 0 (interlacing violation, complex or multiple roots)."""
 
 
-class EndpointIsRoot(ChainError):
-    """Kept for interface compatibility; the exact (a, b] sign-variation
-    convention used here handles root endpoints without perturbation, so
-    this is not raised by :func:`count_roots`."""
-
-
 @dataclass(frozen=True)
 class SturmChain:
     """The full chain [P_{N+1}, P_N, ..., P_0] with extracted (b, u)."""

@@ -1,9 +1,11 @@
 """Command-line front end: build chains on classical grids, count real roots
 in an interval, and run the verification suite, with machine-readable output.
 
-Exit codes: 0 success, 1 unexpected verification mismatch, 2 input parse
-error, 3 degenerate grid, 4 chain failure (e.g. non-simple roots), 5 reserved
-for endpoint-at-root rejection."""
+Exit codes: 0 success, also when the reader closes the output pipe early;
+1 unexpected verification mismatch; 2 input parse error, including a bad
+grid option and a STURMION_PRECISION that is not a whole number of bits;
+3 degenerate grid; 4 chain or weight failure (e.g. non-simple roots, or a
+weight that is not positive at the working precision)."""
 
 from __future__ import annotations
 
@@ -17,17 +19,16 @@ import sys
 from fractions import Fraction
 
 from . import __version__, grids, harness
-from .chain import ChainError, EndpointIsRoot, build_chain, count_roots, sturmian_pair
+from .chain import ChainError, build_chain, count_roots, sturmian_pair
 from .poly import Polynomial
 from .scalars import DEFAULT_PRECISION, parse_rational, scalar_json
-from .spectral import dual_weights, primal_weights
+from .spectral import SpectralError, dual_weights, primal_weights
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_CHAIN = 4
-EXIT_ENDPOINT = 5
 
 
 class PolynomialSyntaxError(ValueError):
@@ -107,17 +108,8 @@ def _emit_chain_csv(payload: dict, out) -> None:
             writer.writerow([field, i, value])
 
 
-def _resolve_grid(args) -> grids.GridSpec:
-    text = args.grid
-    if text == "quad" and args.tau is not None:
-        text = f"quad:tau={args.tau}"
-    if text == "exp" and args.q:
-        text = f"exp:q={args.q[0]}"
-    return grids.parse_grid(text, args.n, args.precision)
-
-
 def cmd_chain(args, out) -> int:
-    spec = _resolve_grid(args)
+    spec = grids.parse_grid(args.grid, args.n, args.precision)
     xs = grids.nodes(spec)
     chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
     pw = primal_weights(chain, xs)
@@ -162,14 +154,15 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK
 
 
-def _default_precision() -> int:
+def _default_precision(parser) -> int:
     env = os.environ.get("STURMION_PRECISION")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION
+    if not env:
+        return DEFAULT_PRECISION
+    try:
+        return int(env)
+    except ValueError:
+        parser.error(f"STURMION_PRECISION must be a whole number of bits, "
+                     f"got {env!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,19 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sturmion",
         description="Exact Sturm chains of finite orthogonal polynomials "
                     "on classical grids.")
-    parser.add_argument("--precision", type=int, default=_default_precision(),
+    parser.add_argument("--precision", type=int, default=None,
                         help="working precision in bits for floating grids")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subcommands (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chain = sub.add_parser("chain", help="build the chain on a grid")
     p_chain.add_argument("--grid", required=True,
                          help="e.g. linear, quad:tau=1, exp:q=1/2, trig1")
     p_chain.add_argument("--n", type=int, required=True)
-    p_chain.add_argument("--q", action="append", default=[])
-    p_chain.add_argument("--tau", default=None)
     p_chain.set_defaults(func=cmd_chain)
 
     p_count = sub.add_parser("count", help="count real roots in (lo, hi]")
@@ -209,13 +198,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.precision is None:
+        args.precision = _default_precision(parser)
     try:
-        return args.func(args, sys.stdout)
-    except EndpointIsRoot as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
-    except ChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has stopped reading; the interpreter's own flush of
+        # the unwritten output at exit must not fail as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (ChainError, SpectralError) as exc:
+        where = ""
+        if args.command == "chain":
+            where = f"grid {args.grid}, N={args.n}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_CHAIN
     except grids.DegenerateGrid as exc:
         print(f"error: {exc}", file=sys.stderr)

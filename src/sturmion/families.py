@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spectral import SpectralData
+from .spectral import JacobiMatrix, SpectralData
 
 
 class FamilyError(Exception):
@@ -359,6 +359,17 @@ class Ultraspherical:
         if lead == 0:
             raise DenominatorZero("Ultraspherical", f"leading coefficient {n}")
         return total / lead
+
+
+def jacobi_matrix(fam, n_max: int) -> JacobiMatrix:
+    """The family's (b_0..b_N, u_1..u_N) from its recurrence, N = n_max."""
+    b, u = [], []
+    for n in range(n_max + 1):
+        bn, un = fam.recurrence(n)
+        b.append(bn)
+        if n >= 1:
+            u.append(un)
+    return JacobiMatrix(tuple(b), tuple(u))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ the rational backend on every grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
+from . import families
 from .poly import Polynomial
 from .scalars import DEFAULT_PRECISION, cos_pi
+from .spectral import generate_polys
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -27,6 +29,14 @@ TRIG_SECOND = "trig2"
 
 _RATIONAL_KINDS = (LINEAR, QUADRATIC, EXPONENTIAL, ASKEY_WILSON, BANNAI_ITO)
 _TRIG_KINDS = (TRIG_FIRST, TRIG_SECOND)
+
+#: Names of each kind's GridSpec.params, in order; kinds not listed take none.
+PARAM_NAMES = {
+    QUADRATIC: ("tau",),
+    EXPONENTIAL: ("q",),
+    ASKEY_WILSON: ("q", "c1", "c2", "c0"),
+    BANNAI_ITO: ("c1", "c2", "c0"),
+}
 
 
 class GridError(Exception):
@@ -132,26 +142,16 @@ def nodes(spec: GridSpec):
     return xs
 
 
-def _monic_chebyshev(kind: str, degree: int) -> Polynomial:
-    """Monic T_degree or U_degree from the exact rational recurrences."""
-    p0 = Polynomial.constant(Fraction(1))
-    if degree == 0:
-        return p0
-    x = Polynomial.x()
-    p1 = x
-    first_u = Fraction(1, 2) if kind == "T" else Fraction(1, 4)
-    for n in range(1, degree):
-        u = first_u if n == 1 else Fraction(1, 4)
-        p0, p1 = p1, x * p1 - u * p0
-    return p1
-
-
 def monic_t(degree: int) -> Polynomial:
-    return _monic_chebyshev("T", degree)
+    """Monic T_degree from the exact Chebyshev recurrence."""
+    jm = families.jacobi_matrix(families.ChebyshevT(), max(degree - 1, 0))
+    return generate_polys(jm, degree)[-1]
 
 
 def monic_u(degree: int) -> Polynomial:
-    return _monic_chebyshev("U", degree)
+    """Monic U_degree from the exact Chebyshev recurrence."""
+    jm = families.jacobi_matrix(families.ChebyshevU(), max(degree - 1, 0))
+    return generate_polys(jm, degree)[-1]
 
 
 def characteristic_polynomial(spec: GridSpec) -> Polynomial:
@@ -346,30 +346,38 @@ def _solve3(rows):
     return m[0][3], m[1][3], m[2][3]
 
 
+#: CLI grid names, e.g. "quad" in "quad:tau=1".
+_CLI_KINDS = {"linear": LINEAR, "quad": QUADRATIC, "exp": EXPONENTIAL,
+              "trig1": TRIG_FIRST, "trig2": TRIG_SECOND,
+              "aw": ASKEY_WILSON, "bi": BANNAI_ITO}
+
+
 def parse_grid(text: str, n: int, precision: int = DEFAULT_PRECISION) -> GridSpec:
-    """Parse the CLI grid syntax, e.g. "linear", "quad:tau=1", "exp:q=1/2"."""
-    text = text.strip()
-    head, _, rest = text.partition(":")
+    """Parse the CLI grid syntax, e.g. "linear", "quad:tau=1", "exp:q=1/2".
+
+    Every option of the kind must be given once, and no other.
+    """
+    head, _, rest = text.strip().partition(":")
+    if head not in _CLI_KINDS:
+        raise ValueError(f"unknown grid kind {text!r}")
+    kind = _CLI_KINDS[head]
+    names = PARAM_NAMES.get(kind, ())
     opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ValueError(f"malformed grid option {item!r}")
-            opts[key.strip()] = Fraction(val.strip())
-    if head == "linear":
-        return linear(n)
-    if head == "quad":
-        return quadratic(opts.pop("tau"), n)
-    if head == "exp":
-        return exponential(opts.pop("q"), n)
-    if head == "trig1":
-        return trig_first(n, precision)
-    if head == "trig2":
-        return trig_second(n, precision)
-    if head == "aw":
-        return askey_wilson(opts.pop("q"), opts.pop("c1"), opts.pop("c2"),
-                            opts.pop("c0"), n)
-    if head == "bi":
-        return bannai_ito(opts.pop("c1"), opts.pop("c2"), opts.pop("c0"), n)
-    raise ValueError(f"unknown grid kind {text!r}")
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        if not val:
+            raise GridError(f"malformed grid option {item!r}")
+        if key not in names:
+            raise GridError(f"grid {head} has no option {key!r}")
+        if key in opts:
+            raise GridError(f"grid option {key!r} given twice")
+        try:
+            opts[key] = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise GridError(
+                f"grid option {key!r} has bad value {val!r}") from None
+    missing = [key for key in names if key not in opts]
+    if missing:
+        raise GridError(f"grid {head} needs option {', '.join(missing)}")
+    return GridSpec(kind, n, tuple(opts[key] for key in names),
+                    precision=precision)

@@ -7,7 +7,7 @@ differing index and never auto-corrected."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families, grids, transforms
@@ -21,7 +21,6 @@ from .scalars import (
     to_fraction,
 )
 from .spectral import (
-    JacobiMatrix,
     SpectralData,
     check_orthogonality,
     dual_weights,
@@ -124,17 +123,9 @@ class _Collector:
         )
 
 
-_PARAM_NAMES = {
-    grids.QUADRATIC: ("tau",),
-    grids.EXPONENTIAL: ("q",),
-    grids.ASKEY_WILSON: ("q", "c1", "c2", "c0"),
-    grids.BANNAI_ITO: ("c1", "c2", "c0"),
-}
-
-
 def _grid_label(spec: grids.GridSpec) -> str:
     parts = [spec.kind]
-    names = _PARAM_NAMES.get(spec.kind, ())
+    names = grids.PARAM_NAMES.get(spec.kind, ())
     for key, value in zip(names, spec.params):
         parts.append(f"{key}={scalar_str(value)}")
     return ":".join(parts)
@@ -273,7 +264,7 @@ def verify_quadratic_tau2(n_max: int) -> CheckReport:
     try:
         fam = families.Racah(
             Fraction(-2 * n_max - 3, 2), Fraction(1, 2), Fraction(1, 2), n_max)
-        source = JacobiMatrix(*_family_arrays(fam, n_max))
+        source = families.jacobi_matrix(fam, n_max)
         transformed, _ = transforms.christoffel(source, Fraction(-1))
     except (families.FamilyError, transforms.TransformError) as exc:
         col.notes.append(f"skipped: {exc}")
@@ -319,11 +310,11 @@ def verify_exponential(q: Fraction, n_max: int) -> CheckReport:
     try:
         big = Fraction(q) ** (-(n_max + 1))
         source = families.QHahn(big, big, Fraction(q), n_max)
-        j_source = JacobiMatrix(*_family_arrays(source, n_max))
+        j_source = families.jacobi_matrix(source, n_max)
         transformed, _ = transforms.christoffel(j_source, Fraction(0))
 
         plain = families.QHahn(Fraction(1), Fraction(1), Fraction(q), n_max)
-        j_plain = JacobiMatrix(*_family_arrays(plain, n_max))
+        j_plain = families.jacobi_matrix(plain, n_max)
         uv, _ = transforms.uvarov(j_plain, plain.weights(), Fraction(0))
     except (families.FamilyError, transforms.TransformError) as exc:
         col.notes.append(f"skipped: {exc}")
@@ -379,17 +370,6 @@ def verify_trig(kind: int, n_max: int) -> CheckReport:
 
     return col.report(f"trig_{'first' if kind == 1 else 'second'}",
                       _grid_label(spec), n_max)
-
-
-def _family_arrays(fam, n_max: int):
-    """(b, u) tuples from a family's recurrence, ordered for JacobiMatrix."""
-    b, u = [], []
-    for n in range(n_max + 1):
-        bn, un = fam.recurrence(n)
-        b.append(bn)
-        if n >= 1:
-            u.append(un)
-    return tuple(b), tuple(u)
 
 
 def _aggregate(name: str, grid: str, n_max: int, parts) -> CheckReport:

@@ -145,13 +145,6 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def promote(x, precision: int = DEFAULT_PRECISION) -> BigFloat:
-    """Force a scalar into the BigFloat backend."""
-    if isinstance(x, BigFloat):
-        return x
-    return BigFloat(x, precision)
-
-
 def to_fraction(x) -> Fraction:
     """Exact rational value of a scalar (every BigFloat is dyadic)."""
     if isinstance(x, (int, Fraction)):

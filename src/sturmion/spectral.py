@@ -64,9 +64,10 @@ class SpectralData:
         for a, b in zip(self.nodes, self.nodes[1:]):
             if not a < b:
                 raise ValueError("nodes must be strictly increasing")
-        for w in self.weights:
+        for s, w in enumerate(self.weights):
             if not w > 0:
-                raise NonPositiveWeight(f"weight {w} is not positive")
+                raise NonPositiveWeight(
+                    f"weight {w} at node {s} is not positive")
         if all(is_exact(w) for w in self.weights):
             if sum(self.weights) != 1:
                 raise ValueError("exact weights must sum to 1")
@@ -112,12 +113,14 @@ def primal_weights(chain: SturmChain, nodes) -> SpectralData:
     dp = p_top.derivative()
     h = chain.h_top
     weights = []
-    for x in nodes:
+    for s, x in enumerate(nodes):
         if not _node_residual_ok(p_top, x):
-            raise NodeMismatch(f"{x!r} is not a root of the top polynomial")
+            raise NodeMismatch(
+                f"node {s}, {x!r}, is not a root of the top polynomial")
         w = h / (dp(x) * p_next(x))
         if not w > 0:
-            raise NonPositiveWeight(f"weight {w} at node {x!r}")
+            raise NonPositiveWeight(
+                f"weight {w} at node {s}, {x!r}, is not positive")
         weights.append(w)
     return SpectralData(tuple(nodes), tuple(weights))
 
@@ -126,9 +129,10 @@ def dual_weights(p_top: Polynomial, p_next: Polynomial, nodes) -> SpectralData:
     """w*_s = P_N(x_s) / P'_{N+1}(x_s); constant 1/(N+1) for a Sturmian pair."""
     dp = p_top.derivative()
     weights = []
-    for x in nodes:
+    for s, x in enumerate(nodes):
         if not _node_residual_ok(p_top, x):
-            raise NodeMismatch(f"{x!r} is not a root of the top polynomial")
+            raise NodeMismatch(
+                f"node {s}, {x!r}, is not a root of the top polynomial")
         weights.append(p_next(x) / dp(x))
     return SpectralData(tuple(nodes), tuple(weights))
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chain import ChainError, build_chain
 from .poly import Polynomial
-from .spectral import JacobiMatrix, SpectralData, generate_polys
+from .spectral import (JacobiMatrix, SpectralData, generate_polys,
+                       jacobi_from_chain)
 
 
 class TransformError(Exception):
@@ -52,12 +54,11 @@ class TransformRecord:
 def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, TransformRecord]:
     """Transform jm by measure multiplication with (x - a).
 
-    Works at the polynomial level; the top-index coefficients come from
-    dividing the unchanged characteristic polynomial P_{N+1} by the new
-    P~_N, so no data beyond the finite truncation is needed.  The
-    coefficient formulas u~_n = u_n V_n / V_{n-1} and
-    b~_n = b_{n+1} + V_{n+1} - V_n are kept as a cross-check
-    (see :func:`christoffel_coefficients`).
+    The unchanged characteristic polynomial P_{N+1} and the new P~_N form
+    an interlacing pair whose Euclidean chain is the transformed system,
+    so no data beyond the finite truncation is needed.  The coefficient
+    formulas u~_n = u_n V_n / V_{n-1} and b~_n = b_{n+1} + V_{n+1} - V_n
+    are kept as a cross-check (see :func:`christoffel_coefficients`).
     """
     nn = jm.n
     polys = generate_polys(jm, nn + 1)
@@ -67,38 +68,15 @@ def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, TransformRecord]:
             raise PivotZero(f"P_{i}({a}) = 0")
     v_seq = tuple(vals[i + 1] / vals[i] for i in range(nn + 1))
     divisor = Polynomial((-Fraction(a), Fraction(1)))
-    new_polys = []
-    for i in range(nn + 1):
-        num = polys[i + 1] - v_seq[i] * polys[i]
-        q, r = divmod(num, divisor)
-        if not r.is_zero:
-            raise TransformError("quotient construction left a remainder")
-        new_polys.append(q)
-    b = []
-    u = []
-    b.append(-new_polys[1].coeffs[0])
-    for i in range(1, nn):
-        # P~_{i+1} = (x - b_i) P~_i - u_i P~_{i-1}
-        x = Polynomial.x()
-        rem = new_polys[i + 1] - x * new_polys[i]
-        b_i = -rem.coeffs[i] if len(rem.coeffs) > i else Fraction(0)
-        rem = rem + b_i * new_polys[i]
-        u_poly, u_rem = divmod(-rem, new_polys[i - 1])
-        if not u_rem.is_zero or u_poly.degree > 0:
-            raise TransformError("transformed polynomials break the recurrence")
-        u_i = u_poly.coeffs[0] if u_poly.coeffs else Fraction(0)
-        b.append(b_i)
-        u.append(u_i)
-    # top index: divide the unchanged characteristic polynomial by P~_N
-    char = polys[nn + 1]
-    q, r = divmod(char, new_polys[nn])
-    b.append(-q.coeffs[0])
-    if nn >= 1:
-        u_poly, u_rem = divmod(-r, new_polys[nn - 1])
-        if not u_rem.is_zero or u_poly.degree > 0:
-            raise TransformError("top-index extraction failed")
-        u.append(u_poly.coeffs[0])
-    result = JacobiMatrix(tuple(b), tuple(u))
+    p_new, r = divmod(polys[nn + 1] - v_seq[nn] * polys[nn], divisor)
+    if not r.is_zero:
+        raise TransformError("quotient construction left a remainder")
+    try:
+        chain = build_chain(polys[nn + 1], p_new)
+    except ChainError as exc:
+        raise TransformError(f"Christoffel transform at {a} has no Jacobi "
+                             f"matrix: {exc}") from exc
+    result = jacobi_from_chain(chain)
     record = TransformRecord("christoffel", Fraction(a), v_seq, jm, result)
     return result, record
 

@@ -77,6 +77,41 @@ def test_chain_parse_error_exit_2():
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("grid, option", [
+    ("quad", "tau"),
+    ("linear:tau=3", "tau"),
+    ("exp:q=1/2,foo=3", "foo"),
+])
+def test_chain_bad_grid_option_exit_2(grid, option):
+    proc = run_cli("chain", "--grid", grid, "--n", "2")
+    assert proc.returncode == 2
+    assert option in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_chain_weight_failure_exit_4():
+    # 64 bits are too few for the trig1 weights at N = 80
+    proc = run_cli("--precision", "64", "chain", "--grid", "trig1",
+                   "--n", "80")
+    assert proc.returncode == 4
+    assert "grid trig1, N=80" in proc.stderr
+    assert "at node 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_chain_closed_output_pipe_ends_quietly():
+    # the reader is gone before the first write, as in `sturmion ... | head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sturmion.cli", "chain", "--grid", "linear",
+         "--n", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+
+
 def test_chain_degenerate_grid_exit_3():
     # x_s = (1/2)^s is decreasing, so the node list is rejected
     proc = run_cli("chain", "--grid", "aw:q=1/2,c1=1,c2=0,c0=0", "--n", "3")
@@ -136,3 +171,11 @@ def test_precision_env_override(monkeypatch):
     proc = run_cli("chain", "--grid", "linear", "--n", "1", env=env)
     doc = json.loads(proc.stdout)
     assert doc["inputs"]["precision"] == 128
+
+
+def test_precision_env_invalid_exit_2():
+    import os
+    env = dict(os.environ, STURMION_PRECISION="abc")
+    proc = run_cli("chain", "--grid", "trig1", "--n", "1", env=env)
+    assert proc.returncode == 2
+    assert "STURMION_PRECISION" in proc.stderr

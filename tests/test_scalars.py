@@ -10,7 +10,6 @@ from sturmion.scalars import (
     cos_pi,
     is_exact,
     parse_rational,
-    promote,
     scalar_json,
     scalar_str,
     sin_pi,
@@ -56,7 +55,6 @@ def test_is_exact_and_promote():
     assert is_exact(Fraction(1, 2))
     assert is_exact(3)
     assert not is_exact(BigFloat(1, 64))
-    assert promote(Fraction(1, 2), 128).precision == 128
 
 
 def test_trig_values():

@@ -68,6 +68,15 @@ def test_christoffel_pivot_zero():
         transforms.christoffel(jm, Fraction(0))
 
 
+def test_christoffel_inside_spectrum_rejected():
+    # x - 1/2 changes sign on the nodes 0, 1, 2: the transformed weights
+    # are not all positive, so no Jacobi matrix exists
+    chain = build_chain(*sturmian_pair(Polynomial.from_roots(
+        (Fraction(0), Fraction(1), Fraction(2)))))
+    with pytest.raises(transforms.TransformError):
+        transforms.christoffel(jacobi_from_chain(chain), Fraction(1, 2))
+
+
 def test_geronimus_round_trip():
     res, _ = transforms.christoffel(QHAHN_ANCHOR, Fraction(0))
     # matching seed: phi_1/phi_0 = u_1 / (a - b_0) of the source matrix
