@@ -27,7 +27,6 @@ BANNAI_ITO = "bannai_ito"
 TRIG_FIRST = "trig1"
 TRIG_SECOND = "trig2"
 
-_RATIONAL_KINDS = (LINEAR, QUADRATIC, EXPONENTIAL, ASKEY_WILSON, BANNAI_ITO)
 _TRIG_KINDS = (TRIG_FIRST, TRIG_SECOND)
 
 #: Names of each kind's GridSpec.params, in order; kinds not listed take none.
@@ -119,7 +118,8 @@ def _canonical_nodes(spec: GridSpec):
         return [c1 * q**s + c2 * q ** (-s) + c0 for s in range(n + 1)]
     if spec.kind == BANNAI_ITO:
         c1, c2, c0 = spec.params
-        return [(-1) ** s * (c1 * s + c2) + c0 for s in range(n + 1)]
+        # the nodes alternate around c0, so the grid is their sorted set
+        return sorted((-1) ** s * (c1 * s + c2) + c0 for s in range(n + 1))
     if spec.kind == TRIG_FIRST:
         # -cos(pi (s + 1/2) / (N+1))
         return [-cos_pi(Fraction(2 * s + 1, 2 * (n + 1)), spec.precision)
@@ -137,8 +137,10 @@ def nodes(spec: GridSpec):
     if spec.scale < 0:
         xs.reverse()
     for a, b in zip(xs, xs[1:]):
+        if a == b:
+            raise DegenerateGrid(f"grid node {a} is repeated")
         if not a < b:
-            raise DegenerateGrid(f"nodes not strictly increasing: {a!r}, {b!r}")
+            raise DegenerateGrid(f"nodes not strictly increasing: {a}, {b}")
     return xs
 
 

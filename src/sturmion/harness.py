@@ -1,7 +1,8 @@
 """Proposition-by-proposition verification: the Euclidean chain built from
 each grid's characteristic polynomial is the ground truth, and every printed
-closed form is checked against it, exactly on rational grids and to a fixed
-tolerance on trigonometric ones.  Mismatches are reported with the first
+closed form is checked against it, exactly on rational grids and on
+trigonometric ones to a tolerance that follows the working precision
+(:func:`scalars.tolerance`).  Mismatches are reported with the first
 differing index and never auto-corrected."""
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from .chain import build_chain, sturmian_pair
 from .poly import Polynomial
 from .scalars import (
     DEFAULT_PRECISION,
-    DEFAULT_TOLERANCE,
     scalar_str,
     sin_pi,
     to_fraction,
+    tolerance,
 )
 from .spectral import (
     SpectralData,
@@ -97,12 +98,13 @@ class _Collector:
         if self.witness is None and oracle != candidate:
             self.witness = (label, oracle, candidate)
 
-    def close(self, label: str, oracle, candidate, bound=DEFAULT_TOLERANCE):
+    def close(self, label: str, oracle, candidate):
         self.toleranced = True
-        res = to_fraction(abs(candidate - oracle))
+        diff = abs(candidate - oracle)
+        res = to_fraction(diff)
         if res > self.worst:
             self.worst = res
-        if self.witness is None and res >= bound:
+        if self.witness is None and res >= tolerance(diff.precision):
             self.witness = (label, oracle, candidate)
 
     def report(self, name: str, grid: str, n_max: int) -> CheckReport:

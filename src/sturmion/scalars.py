@@ -9,15 +9,14 @@ promote to BigFloat when mixed.
 
 from __future__ import annotations
 
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
-
-#: Comparison tolerance used for default-precision checks, 2**-200.
-DEFAULT_TOLERANCE = Fraction(1, 2**200)
 
 
 class BigFloat:
@@ -100,33 +99,28 @@ class BigFloat:
 
     # -- comparison -------------------------------------------------------
 
-    def _cmp_value(self, other):
+    def _compare(self, other, op):
+        # every BigFloat is dyadic, so a rational compares exactly
         if isinstance(other, BigFloat):
-            return other.value
+            return op(self.value, other.value)
         if isinstance(other, (int, Fraction)):
-            return mpmath.mpf(other.numerator) / other.denominator \
-                if isinstance(other, Fraction) else other
-        return None
+            return op(to_fraction(self), other)
+        return NotImplemented
 
     def __eq__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value == v
+        return self._compare(other, operator.eq)
 
     def __lt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value < v
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value <= v
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value > v
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is None else self.value >= v
+        return self._compare(other, operator.ge)
 
     def __hash__(self):
         return hash(self.value)
@@ -157,6 +151,16 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def tolerance(precision: int) -> Fraction:
+    """Bound on |candidate - target| for a value carried at ``precision``
+    bits: 2**-floor(25*precision/32), which is 2**-200 at the default 256.
+
+    The remaining 7/32 of the bits absorb the rounding of Horner evaluation,
+    which loses about 1.3 bits per degree on the trigonometric grids.
+    """
+    return Fraction(1, 2 ** (25 * precision // 32))
+
+
 def cos_pi(t: Fraction, precision: int = DEFAULT_PRECISION) -> BigFloat:
     """cos(pi*t) for rational t, evaluated at the requested precision."""
     with mpmath.workprec(precision + 16):
@@ -176,12 +180,21 @@ def sin_pi(t: Fraction, precision: int = DEFAULT_PRECISION) -> BigFloat:
 def scalar_str(x) -> str:
     """Canonical string form: ``num/den`` in lowest terms, bare ``n`` for integers."""
     if isinstance(x, int):
-        return str(x)
+        return _int_str(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _int_str(x.numerator)
+        return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
     raise TypeError(f"not a rational scalar: {x!r}")
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str digit
+    limit, which guards the parsing of input, not this output."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def parse_rational(text: str) -> Fraction:

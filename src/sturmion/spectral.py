@@ -66,8 +66,8 @@ class SpectralData:
                 raise ValueError("nodes must be strictly increasing")
         for s, w in enumerate(self.weights):
             if not w > 0:
-                raise NonPositiveWeight(
-                    f"weight {w} at node {s} is not positive")
+                raise NonPositiveWeight(f"weight {w} at node {s}, "
+                                        f"{self.nodes[s]!r}, is not positive")
         if all(is_exact(w) for w in self.weights):
             if sum(self.weights) != 1:
                 raise ValueError("exact weights must sum to 1")
@@ -106,35 +106,29 @@ def _node_residual_ok(p_top: Polynomial, x) -> bool:
     return v == 0
 
 
-def primal_weights(chain: SturmChain, nodes) -> SpectralData:
-    """w_s = h_N / (P'_{N+1}(x_s) P_N(x_s)) on the roots of the top polynomial."""
-    p_top = chain.polys[0]
-    p_next = chain.polys[1]
+def _weights(p_top: Polynomial, p_next: Polynomial, nodes, weight) -> SpectralData:
+    """weight(P'_{N+1}(x_s), P_N(x_s)) on each node, after checking that the
+    node is a root of the top polynomial."""
     dp = p_top.derivative()
-    h = chain.h_top
     weights = []
     for s, x in enumerate(nodes):
         if not _node_residual_ok(p_top, x):
             raise NodeMismatch(
                 f"node {s}, {x!r}, is not a root of the top polynomial")
-        w = h / (dp(x) * p_next(x))
-        if not w > 0:
-            raise NonPositiveWeight(
-                f"weight {w} at node {s}, {x!r}, is not positive")
-        weights.append(w)
+        weights.append(weight(dp(x), p_next(x)))
     return SpectralData(tuple(nodes), tuple(weights))
+
+
+def primal_weights(chain: SturmChain, nodes) -> SpectralData:
+    """w_s = h_N / (P'_{N+1}(x_s) P_N(x_s)) on the roots of the top polynomial."""
+    h = chain.h_top
+    return _weights(chain.polys[0], chain.polys[1], nodes,
+                    lambda dp, p: h / (dp * p))
 
 
 def dual_weights(p_top: Polynomial, p_next: Polynomial, nodes) -> SpectralData:
     """w*_s = P_N(x_s) / P'_{N+1}(x_s); constant 1/(N+1) for a Sturmian pair."""
-    dp = p_top.derivative()
-    weights = []
-    for s, x in enumerate(nodes):
-        if not _node_residual_ok(p_top, x):
-            raise NodeMismatch(
-                f"node {s}, {x!r}, is not a root of the top polynomial")
-        weights.append(p_next(x) / dp(x))
-    return SpectralData(tuple(nodes), tuple(weights))
+    return _weights(p_top, p_next, nodes, lambda dp, p: p / dp)
 
 
 def duality_product_check(primal: SpectralData, dual: SpectralData,

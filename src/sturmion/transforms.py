@@ -9,21 +9,23 @@ The Geronimus transform is the inverse: P_n = P~_n - U_n P~_{n-1} where
 U_n = phi_n / phi_{n-1} for a solution phi of the transformed recurrence
 at the point a.  The Uvarov transform seeds phi with the second-kind
 solution F_n(a) = sum_s w_s P_n(x_s) / (a - x_s).
+
+Each transform returns the transformed matrix and its multipliers (V_n or
+U_n).  A transform fails where the spectral data it needs does not exist,
+so its errors are spectral errors: a node hit by the second-kind sum is
+the :class:`spectral.PoleHit` of the Stieltjes function it evaluates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import ChainError, build_chain
 from .poly import Polynomial
-from .spectral import (JacobiMatrix, SpectralData, generate_polys,
-                       jacobi_from_chain)
+from .spectral import (JacobiMatrix, PoleHit, SpectralData, SpectralError,
+                       generate_polys, jacobi_from_chain)
 
-
-class TransformError(Exception):
-    pass
+TransformError = SpectralError
 
 
 class PivotZero(TransformError):
@@ -38,35 +40,28 @@ class ZeroF(TransformError):
     """A second-kind value F_n(a) vanished."""
 
 
-class PoleHit(TransformError):
-    """The Uvarov point a coincides with a grid node."""
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    kind: str
-    point: Fraction
-    multipliers: tuple  # V_n for Christoffel, U_n for Geronimus/Uvarov
-    source: JacobiMatrix
-    result: JacobiMatrix
-
-
-def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, TransformRecord]:
-    """Transform jm by measure multiplication with (x - a).
-
-    The unchanged characteristic polynomial P_{N+1} and the new P~_N form
-    an interlacing pair whose Euclidean chain is the transformed system,
-    so no data beyond the finite truncation is needed.  The coefficient
-    formulas u~_n = u_n V_n / V_{n-1} and b~_n = b_{n+1} + V_{n+1} - V_n
-    are kept as a cross-check (see :func:`christoffel_coefficients`).
-    """
-    nn = jm.n
-    polys = generate_polys(jm, nn + 1)
+def _christoffel_multipliers(jm: JacobiMatrix, a):
+    """P_0..P_{N+1} of jm and V_n = P_{n+1}(a) / P_n(a) for n = 0..N."""
+    polys = generate_polys(jm, jm.n + 1)
     vals = [p(a) for p in polys]
     for i, v in enumerate(vals[:-1]):
         if v == 0:
             raise PivotZero(f"P_{i}({a}) = 0")
-    v_seq = tuple(vals[i + 1] / vals[i] for i in range(nn + 1))
+    return polys, tuple(vals[i + 1] / vals[i] for i in range(jm.n + 1))
+
+
+def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, tuple]:
+    """Transform jm by measure multiplication with (x - a).
+
+    Returns the transformed matrix and V_0..V_N.  The unchanged
+    characteristic polynomial P_{N+1} and the new P~_N form an interlacing
+    pair whose Euclidean chain is the transformed system, so no data beyond
+    the finite truncation is needed.  The coefficient formulas
+    u~_n = u_n V_n / V_{n-1} and b~_n = b_{n+1} + V_{n+1} - V_n are kept as
+    a cross-check (see :func:`christoffel_coefficients`).
+    """
+    nn = jm.n
+    polys, v_seq = _christoffel_multipliers(jm, a)
     divisor = Polynomial((-Fraction(a), Fraction(1)))
     p_new, r = divmod(polys[nn + 1] - v_seq[nn] * polys[nn], divisor)
     if not r.is_zero:
@@ -76,9 +71,7 @@ def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, TransformRecord]:
     except ChainError as exc:
         raise TransformError(f"Christoffel transform at {a} has no Jacobi "
                              f"matrix: {exc}") from exc
-    result = jacobi_from_chain(chain)
-    record = TransformRecord("christoffel", Fraction(a), v_seq, jm, result)
-    return result, record
+    return jacobi_from_chain(chain), v_seq
 
 
 def christoffel_coefficients(jm: JacobiMatrix, a):
@@ -88,23 +81,18 @@ def christoffel_coefficients(jm: JacobiMatrix, a):
     data beyond the truncation and is left to the polynomial route.
     """
     nn = jm.n
-    polys = generate_polys(jm, nn + 1)
-    vals = [p(a) for p in polys]
-    for i, v in enumerate(vals[:-1]):
-        if v == 0:
-            raise PivotZero(f"P_{i}({a}) = 0")
-    v_seq = [vals[i + 1] / vals[i] for i in range(nn + 1)]
+    _, v_seq = _christoffel_multipliers(jm, a)
     b = tuple(jm.b[n + 1] + v_seq[n + 1] - v_seq[n] for n in range(nn))
     u = tuple(jm.u[n - 1] * v_seq[n] / v_seq[n - 1] for n in range(1, nn + 1))
     return b, u
 
 
-def geronimus(jm: JacobiMatrix, a, phi0, phi1) -> tuple[JacobiMatrix, TransformRecord]:
+def geronimus(jm: JacobiMatrix, a, phi0, phi1) -> tuple[JacobiMatrix, tuple]:
     """Geronimus transform of jm at a, seeded by (phi_0, phi_1).
 
     phi is extended by phi_{n+1} = (a - b_n) phi_n - u_n phi_{n-1}; only
     the ratio phi_1/phi_0 matters.  Returns the matrix of the polynomials
-    P_n = P~_n - (phi_n/phi_{n-1}) P~_{n-1}.
+    P_n = P~_n - (phi_n/phi_{n-1}) P~_{n-1} and U_1..U_{N+1}.
     """
     nn = jm.n
     if phi0 == 0:
@@ -126,16 +114,14 @@ def geronimus(jm: JacobiMatrix, a, phi0, phi1) -> tuple[JacobiMatrix, TransformR
         u.append(u_seq[0] * (a - jm.b[0] - u_seq[0]))
         for n in range(2, nn + 1):
             u.append(jm.u[n - 2] * u_seq[n - 1] / u_seq[n - 2])
-    result = JacobiMatrix(tuple(b), tuple(u))
-    record = TransformRecord("geronimus", Fraction(a), tuple(u_seq), jm, result)
-    return result, record
+    return JacobiMatrix(tuple(b), tuple(u)), tuple(u_seq)
 
 
 def second_kind_values(jm: JacobiMatrix, spectral: SpectralData, a, upto: int):
     """F_n(a) = sum_s w_s P_n(x_s) / (a - x_s) for n = 0..upto, by direct sums."""
-    for x in spectral.nodes:
+    for s, x in enumerate(spectral.nodes):
         if x == a:
-            raise PoleHit(f"{a} is a grid node")
+            raise PoleHit(f"{a} is grid node {s}")
     polys = generate_polys(jm, upto)
     out = []
     for p in polys:
@@ -145,11 +131,9 @@ def second_kind_values(jm: JacobiMatrix, spectral: SpectralData, a, upto: int):
     return out
 
 
-def uvarov(jm: JacobiMatrix, spectral: SpectralData, a) -> tuple[JacobiMatrix, TransformRecord]:
+def uvarov(jm: JacobiMatrix, spectral: SpectralData, a) -> tuple[JacobiMatrix, tuple]:
     """Geronimus transform seeded by the second-kind solution at a."""
     f = second_kind_values(jm, spectral, a, 1)
     if f[0] == 0:
         raise ZeroF("F_0(a) = 0")
-    result, record = geronimus(jm, a, f[0], f[1])
-    return result, TransformRecord("uvarov", record.point, record.multipliers,
-                                   jm, result)
+    return geronimus(jm, a, f[0], f[1])

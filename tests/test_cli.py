@@ -118,6 +118,34 @@ def test_chain_degenerate_grid_exit_3():
     assert proc.returncode == 3
 
 
+def test_chain_bannai_ito_nodes_sorted():
+    # x_s = (-1)^s (4s - 3) alternates: -3, -1, 5, -9, 13, -17
+    proc = run_cli("chain", "--grid", "bi:c1=4,c2=-3,c0=0", "--n", "5")
+    assert proc.returncode == 0
+    nodes = json.loads(proc.stdout)["payload"]["nodes"]
+    assert nodes == ["-17", "-9", "-3", "-1", "5", "13"]
+
+
+def test_chain_bannai_ito_repeated_node_exit_3():
+    # x_s = (-1)^s (2s - 3): -3, 1, 1, -3, 5
+    proc = run_cli("chain", "--grid", "bi:c1=2,c2=-3,c0=0", "--n", "4")
+    assert proc.returncode == 3
+    assert "-3" in proc.stderr
+
+
+def test_chain_prints_rationals_past_the_int_digit_limit(capsys):
+    import os
+    import re
+    from sturmion import cli
+    argv = ("chain", "--grid", "exp:q=1/2", "--n", "50")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    proc = run_cli(*argv, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert max(len(d) for d in re.findall(r"\d+", proc.stdout)) > 640
+    assert cli.main(list(argv)) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_count_examples():
     proc = run_cli("count", "--poly", "x^3-3x^2+2x", "--lo", "1/2",
                    "--hi", "5/2")
@@ -149,6 +177,13 @@ def test_verify_minimal():
     assert len(doc["payload"]) == 7
     assert all(r["status"] in ("exact_match", "within_tolerance")
                for r in doc["payload"])
+
+
+@pytest.mark.parametrize("precision, nmax", [("128", "4"), ("64", "3")])
+def test_verify_below_256_bits_exit_0(precision, nmax):
+    proc = run_cli("--precision", precision, "verify", "--nmax", nmax)
+    assert proc.returncode == 0
+    assert "mismatch" not in proc.stdout
 
 
 def test_verify_flags_known_discrepancy():

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sturmion import grids, harness
+from sturmion import grids, harness, transforms
+from sturmion.scalars import BigFloat
+from sturmion.spectral import PoleHit
 
 
 def test_duality_exact_on_rational_grids():
@@ -58,6 +60,23 @@ def test_trig_reports():
         rep = harness.verify_trig(kind, 3)
         assert rep.status == harness.TOLERANCE
         assert rep.residual < Fraction(1, 2**200)
+
+
+def test_tolerance_still_catches_a_coarse_residual():
+    # 2^-64 is far above what a 128-bit value should carry
+    col = harness._Collector()
+    col.close("w_0", Fraction(0), BigFloat(Fraction(1, 2**64), 128))
+    assert col.report("demo", "trig1", 1).status == harness.MISMATCH
+
+
+def test_exponential_transform_failure_is_skipped(monkeypatch):
+    def pole(*args):
+        raise PoleHit("0 is grid node 0")
+
+    monkeypatch.setattr(transforms, "second_kind_values", pole)
+    rep = harness.verify_exponential(Fraction(1, 2), 2)
+    assert rep.status == harness.SKIPPED
+    assert "grid node 0" in rep.notes[0]
 
 
 def test_trig_kind_validation():

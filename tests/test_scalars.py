@@ -14,6 +14,7 @@ from sturmion.scalars import (
     scalar_str,
     sin_pi,
     to_fraction,
+    tolerance,
 )
 
 
@@ -51,6 +52,21 @@ def test_comparisons():
     assert a > 0
 
 
+def test_rational_comparisons_are_exact():
+    # a Fraction rounded to 53 bits would call both of these wrong
+    below = Fraction(1, 3) - Fraction(1, 2**100)
+    assert BigFloat(below, 256) < Fraction(1, 3)
+    tenth = BigFloat(Fraction(1, 10), 256)
+    assert not tenth < Fraction(1, 10)
+    assert tenth != Fraction(1, 10)
+    assert tenth == to_fraction(tenth)
+
+
+def test_tolerance_follows_precision():
+    assert tolerance(256) == Fraction(1, 2**200)
+    assert tolerance(512) < tolerance(256) < tolerance(128) < tolerance(64)
+
+
 def test_is_exact_and_promote():
     assert is_exact(Fraction(1, 2))
     assert is_exact(3)
@@ -75,6 +91,12 @@ def test_scalar_str():
     assert scalar_str(Fraction(2, 4)) == "1/2"
     assert scalar_str(Fraction(-3)) == "-3"
     assert scalar_str(7) == "7"
+
+
+def test_scalar_str_past_the_int_digit_limit():
+    big = 10**5000 + 1
+    assert len(scalar_str(Fraction(big, 3))) == 5001 + 2
+    assert scalar_str(-big) == "-1" + "0" * 4999 + "1"
 
 
 def test_parse_rational():

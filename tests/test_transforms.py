@@ -11,6 +11,7 @@ from sturmion.poly import Polynomial
 from sturmion.spectral import (
     mirror_dual,
     JacobiMatrix,
+    PoleHit,
     SpectralData,
     generate_polys,
     jacobi_from_chain,
@@ -29,11 +30,11 @@ def random_matrix(rng, n):
 
 
 def test_christoffel_anchor():
-    res, rec = transforms.christoffel(QHAHN_ANCHOR, Fraction(0))
+    res, vs = transforms.christoffel(QHAHN_ANCHOR, Fraction(0))
     assert res.b == (Fraction(3, 2), Fraction(3, 2))
     assert res.u == (Fraction(1, 4),)
-    assert rec.kind == "christoffel"
-    assert rec.point == 0
+    # V_n = P_{n+1}(0)/P_n(0) with P_0(0) = 1, P_1(0) = -4/3, P_2(0) = 2
+    assert vs == (Fraction(-4, 3), Fraction(-3, 2))
 
 
 def test_christoffel_polynomial_identity():
@@ -81,9 +82,10 @@ def test_geronimus_round_trip():
     res, _ = transforms.christoffel(QHAHN_ANCHOR, Fraction(0))
     # matching seed: phi_1/phi_0 = u_1 / (a - b_0) of the source matrix
     phi1 = QHAHN_ANCHOR.u[0] / (Fraction(0) - QHAHN_ANCHOR.b[0])
-    back, rec = transforms.geronimus(res, Fraction(0), Fraction(1), phi1)
+    back, us = transforms.geronimus(res, Fraction(0), Fraction(1), phi1)
     assert back == QHAHN_ANCHOR
-    assert rec.kind == "geronimus"
+    # U_n = phi_n/phi_{n-1}, and phi_2 = (0 - 3/2) phi_1 - 1/4 = 0
+    assert us == (phi1, Fraction(0))
 
 
 def test_geronimus_round_trip_random():
@@ -139,6 +141,15 @@ def test_second_kind_pole_rejected():
         transforms.second_kind_values(jm, sd, Fraction(1), 1)
 
 
+def test_second_kind_pole_is_a_stieltjes_pole():
+    # a node is a pole of sum_s w_s / (a - x_s), as in stieltjes_fraction
+    sd = SpectralData((Fraction(1), Fraction(2)),
+                      (Fraction(1, 2), Fraction(1, 2)))
+    jm = JacobiMatrix((Fraction(3, 2), Fraction(3, 2)), (Fraction(1, 4),))
+    with pytest.raises(PoleHit, match="grid node 1"):
+        transforms.second_kind_values(jm, sd, Fraction(2), 1)
+
+
 def test_uvarov_anchor():
     from sturmion.families import QHahn
     fam = QHahn(Fraction(1), Fraction(1), Fraction(1, 2), 1)
@@ -149,7 +160,9 @@ def test_uvarov_anchor():
         if n:
             u.append(un)
     jm = JacobiMatrix(tuple(b), tuple(u))
-    res, rec = transforms.uvarov(jm, fam.weights(), Fraction(0))
+    res, us = transforms.uvarov(jm, fam.weights(), Fraction(0))
     assert res.b == (Fraction(3, 2), Fraction(3, 2))
     assert res.u == (Fraction(1, 4),)
-    assert rec.kind == "uvarov"
+    # seeded by the second-kind solution: U_1 = F_1(0)/F_0(0)
+    f = transforms.second_kind_values(jm, fam.weights(), Fraction(0), 1)
+    assert us[0] == f[1] / f[0]
