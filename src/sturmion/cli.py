@@ -61,7 +61,7 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialSyntaxError(f"missing sign before {s[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("coeff") is not None:
-            coeff = Fraction(m.group("coeff"))
+            coeff = parse_rational(m.group("coeff"))
             var = m.group("var1")
             power = m.group("pow1")
         else:
@@ -200,6 +200,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision is None:
         args.precision = _default_precision(parser)
+    if args.format == "csv" and args.command != "chain":
+        parser.error(f"--format csv is only for chain, not {args.command}")
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()

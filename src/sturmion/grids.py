@@ -72,6 +72,9 @@ class GridSpec:
             (q,) = self.params
             if not (0 < q < 1):
                 raise ValueError(f"exponential grid needs 0 < q < 1, got {q}")
+        elif self.kind == ASKEY_WILSON:
+            if self.params[0] == 0:
+                raise ValueError("Askey-Wilson grid needs q != 0, got 0")
 
 
 def linear(n: int, scale=Fraction(1), shift=Fraction(0)) -> GridSpec:

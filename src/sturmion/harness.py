@@ -41,10 +41,7 @@ _STATUS_RANK = {EXACT: 0, TOLERANCE: 1, SKIPPED: 2, MISMATCH: 3}
 
 def _fmt(x) -> str:
     """Readable form of an exact or floating scalar for report fields."""
-    try:
-        return scalar_str(x)
-    except TypeError:
-        return scalar_str(to_fraction(x))
+    return scalar_str(to_fraction(x))
 
 
 @dataclass(frozen=True)

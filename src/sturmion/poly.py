@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import BigFloat
-
 
 def _is_zero(c) -> bool:
     return c == 0
@@ -94,10 +92,8 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, BigFloat)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            return Polynomial(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return Polynomial()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .chain import SturmChain
 from .poly import Polynomial
-from .scalars import BigFloat, is_exact
+from .scalars import is_exact
 
 
 class SpectralError(Exception):
@@ -99,11 +99,10 @@ def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
 
 def _node_residual_ok(p_top: Polynomial, x) -> bool:
     v = p_top(x)
-    if isinstance(x, BigFloat) or isinstance(v, BigFloat):
-        threshold = Fraction(1, 2 ** (x.precision // 2)) if isinstance(x, BigFloat) \
-            else Fraction(1, 2 ** 128)
-        return abs(v) < threshold
-    return v == 0
+    if is_exact(x) and is_exact(v):
+        return v == 0
+    bits = 128 if is_exact(x) else x.precision // 2
+    return abs(v) < Fraction(1, 2 ** bits)
 
 
 def _weights(p_top: Polynomial, p_next: Polynomial, nodes, weight) -> SpectralData:

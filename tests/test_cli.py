@@ -208,6 +208,29 @@ def test_precision_env_override(monkeypatch):
     assert doc["inputs"]["precision"] == 128
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--poly", "x", "--lo", "-1", "--hi", "1"),
+    ("verify", "--nmax", "1"),
+])
+def test_csv_only_for_chain_exit_2(argv):
+    proc = run_cli("--format", "csv", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--format csv is only for chain" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (("count", "--poly", "x", "--lo", "1/0", "--hi", "1"), "'1/0'"),
+    (("count", "--poly", "x", "--lo", "0", "--hi", "1/0"), "'1/0'"),
+    (("verify", "--q", "1/0"), "'1/0'"),
+    (("chain", "--grid", "aw:q=0,c1=1,c2=0,c0=0", "--n", "3"), "q != 0, got 0"),
+])
+def test_parse_error_names_the_value(argv, quoted):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert quoted in proc.stderr
+
+
 def test_precision_env_invalid_exit_2():
     import os
     env = dict(os.environ, STURMION_PRECISION="abc")

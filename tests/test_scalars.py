@@ -1,8 +1,11 @@
 """The two scalar backends: exact rationals and tracked-precision floats."""
 
+import operator
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sturmion.scalars import (
     DEFAULT_PRECISION,
@@ -115,3 +118,83 @@ def test_scalar_json_forms():
 
 def test_default_precision():
     assert BigFloat(1).precision == DEFAULT_PRECISION
+
+
+
+# -- the libmp arithmetic against the old mpmath-context semantics --------
+
+# numerators past 512 bits, so that rounding the numerator first matters
+RATIONALS = st.builds(Fraction, st.integers(-2**600, 2**600),
+                      st.integers(1, 2**300))
+PRECISIONS = st.sampled_from((64, 96, 128, 256, 512))
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _old_round(value, prec):
+    """The old BigFloat(value, prec): round(numerator) / denominator."""
+    with mpmath.workprec(prec):
+        return mpmath.mpf(value.numerator) / value.denominator
+
+
+def _old_binop(op, left, right):
+    """op on two (value, precision) operands under workprec of the larger
+    precision; a rational operand has precision None and is rounded at the
+    other operand's."""
+    (lv, lp), (rv, rp) = left, right
+    lp, rp = lp or rp, rp or lp
+    with mpmath.workprec(max(lp, rp)):
+        return op(_old_round(lv, lp), _old_round(rv, rp))
+
+
+def _old_unary(op, value, prec):
+    with mpmath.workprec(prec):
+        return op(_old_round(value, prec))
+
+
+def _old_of_pi_times(func, t, prec):
+    with mpmath.workprec(prec + 16):
+        v = func(mpmath.mpf(t.numerator) / t.denominator)
+    with mpmath.workprec(prec):
+        return +v
+
+
+def _exact(m) -> Fraction:
+    sign, man, exp, _ = m._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _new_and_old(a, b, pa, pb, k):
+    """Pairs (new, old) of exact values for every operation on a and b."""
+    x, y = BigFloat(a, pa), BigFloat(b, pb)
+    pairs = [(x, _old_round(a, pa)),
+             (-x, _old_unary(lambda m: -m, a, pa)),
+             (abs(x), _old_unary(abs, a, pa)),
+             (cos_pi(a, pa), _old_of_pi_times(mpmath.cospi, a, pa)),
+             (sin_pi(a, pa), _old_of_pi_times(mpmath.sinpi, a, pa))]
+    if a or k >= 0:
+        pairs.append((x ** k, _old_unary(lambda m: m ** k, a, pa)))
+    int_b = b.numerator
+    operands = [(x, (a, pa), y, (b, pb)), (y, (b, pb), x, (a, pa)),
+                (x, (a, pa), b, (b, None)), (b, (b, None), x, (a, pa)),
+                (x, (a, pa), int_b, (int_b, None)),
+                (int_b, (int_b, None), x, (a, pa))]
+    for op in OPERATORS:
+        for left, old_left, right, old_right in operands:
+            if op is operator.truediv and not to_fraction(right):
+                continue
+            pairs.append((op(left, right), _old_binop(op, old_left, old_right)))
+    return [(to_fraction(new), _exact(old)) for new, old in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=RATIONALS, b=RATIONALS, pa=PRECISIONS, pb=PRECISIONS,
+       k=st.integers(-5, 7))
+def test_libmp_arithmetic_gives_the_old_bits(a, b, pa, pb, k):
+    saved = mpmath.mp.prec
+    try:
+        for global_prec in (53, 1000):
+            mpmath.mp.prec = global_prec
+            for new, old in _new_and_old(a, b, pa, pb, k):
+                assert new == old
+    finally:
+        mpmath.mp.prec = saved
