@@ -195,9 +195,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as "-1/2" as an option and not as the value of
+# the option before it; only "-1" and "-1.5" pass as negative numbers
+_RATIONAL_OPTIONS = ("--lo", "--hi", "--q")
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
+def _attach_negative_rationals(argv):
+    """Write "--lo -1/2" as "--lo=-1/2", and likewise for --hi and --q."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS \
+                and _NEGATIVE_RATIONAL.fullmatch(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_rationals(
+        sys.argv[1:] if argv is None else argv))
     if args.precision is None:
         args.precision = _default_precision(parser)
     if args.format == "csv" and args.command != "chain":

@@ -3,11 +3,19 @@
 Coefficients are stored ascending: index i holds the coefficient of x**i.
 The zero polynomial is the empty coefficient tuple; otherwise the trailing
 coefficient is nonzero.  All operations are pure and values immutable.
+
+Exact work runs on Python integers with one denominator at the end:
+evaluation at an ``int`` or ``Fraction`` point is integer Horner on the
+cached cleared coefficients, and ``from_roots`` multiplies integer linear
+factors.  Evaluation at a floating point keeps the coefficient Horner loop.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .scalars import is_exact
 
 
 def _is_zero(c) -> bool:
@@ -15,7 +23,10 @@ def _is_zero(c) -> bool:
 
 
 class Polynomial:
-    __slots__ = ("coeffs",)
+    # _cleared, set on the first evaluation at an exact point: (a_n..a_0, D)
+    # with integer a_i = c_i * D (the zero polynomial clears to (0,)), or
+    # None if a coefficient is not exact
+    __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -35,11 +46,21 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
-        """Monic product of (x - r) over the given roots; empty list gives 1."""
-        p = cls((Fraction(1),))
+        """Monic product of (x - r) over rational roots; empty list gives 1.
+
+        Multiplies the integer factors (d x - a) for r = a/d and divides
+        once by the product of the d.  A root that is not an ``int`` or
+        ``Fraction`` raises ``TypeError``.
+        """
+        out = [1]
+        den = 1
         for r in roots:
-            p = p * cls((-r, Fraction(1)))
-        return p
+            if not is_exact(r):
+                raise TypeError(f"from_roots takes rational roots, got {r!r}")
+            a, d = r.numerator, r.denominator
+            out = [d * hi - a * lo for hi, lo in zip([0] + out, out + [0])]
+            den *= d
+        return cls(tuple(Fraction(c, den) for c in out))
 
     # -- structure --------------------------------------------------------
 
@@ -137,8 +158,38 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
+    def _clear(self):
+        cs = self.coeffs or (0,)
+        if all(is_exact(c) for c in cs):
+            den = math.lcm(*(c.denominator for c in cs))
+            cleared = (tuple(c.numerator * (den // c.denominator)
+                             for c in reversed(cs)), den)
+        else:
+            cleared = None
+        object.__setattr__(self, "_cleared", cleared)
+        return cleared
+
     def __call__(self, x):
-        """Horner evaluation in the promoted backend of x and the coefficients."""
+        """Horner evaluation.
+
+        At an ``int`` or ``Fraction`` x = p/q with exact coefficients, sums
+        a_i p^i q^(n-i) over the cached cleared coefficients and returns one
+        ``Fraction``, equal to the rational Horner loop.  Anywhere else the
+        Horner loop runs in the promoted backend of x and the coefficients.
+        """
+        if is_exact(x):
+            try:
+                cleared = self._cleared
+            except AttributeError:
+                cleared = self._clear()
+            if cleared is not None:
+                top_down, den = cleared
+                p, q = x.numerator, x.denominator
+                acc, qk = top_down[0], 1
+                for a in top_down[1:]:
+                    qk *= q
+                    acc = acc * p + a * qk
+                return Fraction(acc, den * qk)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

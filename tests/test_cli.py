@@ -231,6 +231,19 @@ def test_parse_error_names_the_value(argv, quoted):
     assert quoted in proc.stderr
 
 
+@pytest.mark.parametrize("argv, code, expected", [
+    (("count", "--poly", "x^2-1/4", "--lo", "-1/2", "--hi", "1"), 0,
+     '"count": 1'),
+    (("count", "--poly", "x^2-1/4", "--lo", "-1", "--hi", "-1/2"), 0,
+     '"count": 1'),
+    (("verify", "--q", "-1/2"), 2, "needs 0 < q < 1, got -1/2"),
+])
+def test_negative_rational_is_a_value(argv, code, expected):
+    proc = run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert expected in proc.stdout + proc.stderr
+
+
 def test_precision_env_invalid_exit_2():
     import os
     env = dict(os.environ, STURMION_PRECISION="abc")

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sturmion.poly import Polynomial
+from sturmion.scalars import BigFloat, to_fraction
 
 
 def make(*coeffs):
@@ -101,3 +102,52 @@ def test_ring_operations_agree_pointwise(a, b, x):
     assert (a + b)(x) == a(x) + b(x)
     assert (a - b)(x) == a(x) - b(x)
     assert (a * b)(x) == a(x) * b(x)
+
+
+# exact scalars with numerators past 256 bits and mixed denominators
+big_ints = st.integers(min_value=-2**300, max_value=2**300)
+exact = st.one_of(
+    big_ints,
+    st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=2**70)),
+    rationals)
+exact_polys = st.lists(st.one_of(exact, st.just(0)), max_size=9).map(
+    Polynomial)
+
+
+def fraction_horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_polys, st.lists(exact, min_size=1, max_size=4),
+       st.sampled_from([64, 256]))
+def test_exact_evaluation_is_horner(p, points, precision):
+    twin = Polynomial(p.coeffs)
+    before = hash(p)
+    for x in points:
+        value = p(x)
+        assert type(value) is Fraction
+        assert value == fraction_horner(p, x)
+        xf = BigFloat(x, precision)
+        assert to_fraction(p(xf)) == to_fraction(fraction_horner(p, xf))
+    assert p == twin and hash(p) == before
+
+
+def test_from_roots_rejects_a_float_root():
+    with pytest.raises(TypeError):
+        Polynomial.from_roots([Fraction(1), BigFloat(2)])
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), rationals), max_size=8))
+def test_from_roots_is_the_product_of_linear_factors(roots):
+    roots = roots + roots[:2]  # repeated roots
+    expected = Polynomial((Fraction(1),))
+    for r in roots:
+        expected = expected * Polynomial((-r, Fraction(1)))
+    got = Polynomial.from_roots(roots)
+    assert got == expected
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert Polynomial.from_roots([]) == make(1)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
@@ -167,3 +168,25 @@ def test_check_orthogonality_linear():
     for n in range(1, 4):
         h *= jm.u[n - 1]
         assert diag[n] == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.fractions(min_value=-60, max_value=60, max_denominator=40),
+               min_size=2, max_size=12))
+def test_weights_on_random_exact_grids(node_set):
+    nodes = sorted(node_set)
+    chain = build_chain(*sturmian_pair(Polynomial.from_roots(nodes)))
+    h = Fraction(1)
+    for un in chain.u:
+        h *= un
+    size = len(nodes)
+    expected = []
+    for s, xs in enumerate(nodes):
+        d = Fraction(1)
+        for t, xt in enumerate(nodes):
+            if t != s:
+                d *= (xs - xt) ** 2
+        expected.append(size * h / d)
+    assert primal_weights(chain, nodes).weights == tuple(expected)
+    dual = dual_weights(chain.polys[0], chain.polys[1], nodes)
+    assert dual.weights == (Fraction(1, size),) * size

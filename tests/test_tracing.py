@@ -13,7 +13,8 @@ WRAPPED = ("transforms.christoffel", "transforms.christoffel_coefficients",
            "transforms.uvarov", "transforms.second_kind_values",
            "spectral.primal_weights", "spectral.dual_weights",
            "spectral.generate_polys", "spectral.check_orthogonality",
-           "chain.build_chain", "poly.eval", "scalars.bigfloat_init")
+           "chain.build_chain", "poly.eval", "scalars.bigfloat_init",
+           "grids.characteristic_polynomial")
 
 
 def load_tracing():
