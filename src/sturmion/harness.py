@@ -339,14 +339,16 @@ def verify_exponential(q: Fraction, n_max: int) -> CheckReport:
     return col.report("exponential_qhahn", _grid_label(spec), n_max)
 
 
-def verify_trig(kind: int, n_max: int) -> CheckReport:
+def verify_trig(kind: int, n_max: int,
+                precision: int = DEFAULT_PRECISION) -> CheckReport:
     """Trigonometric grids: the chain coefficients follow the exact printed
     closed forms, and the primal weights match the sine-power law at the
     working precision."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     col = _Collector()
-    spec = grids.trig_first(n_max) if kind == 1 else grids.trig_second(n_max)
+    grid = grids.trig_first if kind == 1 else grids.trig_second
+    spec = grid(n_max, precision)
     key = "trig1" if kind == 1 else "trig2"
     chain, xs = _oracle(spec)
     jm = jacobi_from_chain(chain)
@@ -423,7 +425,7 @@ def run_all(n_max: int, q_list=(Fraction(1, 2),),
         _aggregate("exponential_qhahn", "exp", n_max,
                    [verify_exponential(q, n) for q in q_list for n in ns]),
         _aggregate("trig_first", "trig1", n_max,
-                   [verify_trig(1, n) for n in ns]),
+                   [verify_trig(1, n, precision) for n in ns]),
         _aggregate("trig_second", "trig2", n_max,
-                   [verify_trig(2, n) for n in ns]),
+                   [verify_trig(2, n, precision) for n in ns]),
     ]

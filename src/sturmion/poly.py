@@ -1,13 +1,14 @@
-"""Dense univariate polynomials over exact rationals or big floats.
+"""Dense univariate polynomials over exact rationals.
 
 Coefficients are stored ascending: index i holds the coefficient of x**i.
 The zero polynomial is the empty coefficient tuple; otherwise the trailing
 coefficient is nonzero.  All operations are pure and values immutable.
 
-Exact work runs on Python integers with one denominator at the end:
-evaluation at an ``int`` or ``Fraction`` point is integer Horner on the
-cached cleared coefficients, and ``from_roots`` multiplies integer linear
-factors.  Evaluation at a floating point keeps the coefficient Horner loop.
+Evaluation runs one integer Horner loop over the cached cleared
+coefficients, with one denominator at the end: exactly at an ``int`` or
+``Fraction`` point, and in fixed point at a floating point, which is a
+dyadic rational, with one rounding to the point's precision.
+``from_roots`` multiplies integer linear factors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import is_exact
+from .scalars import dyadic, is_exact, round_scaled
 
 
 def _is_zero(c) -> bool:
@@ -23,9 +24,8 @@ def _is_zero(c) -> bool:
 
 
 class Polynomial:
-    # _cleared, set on the first evaluation at an exact point: (a_n..a_0, D)
-    # with integer a_i = c_i * D (the zero polynomial clears to (0,)), or
-    # None if a coefficient is not exact
+    # _cleared, set on the first evaluation: (a_n..a_0, D) with integer
+    # a_i = c_i * D (the zero polynomial clears to (0,))
     __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, coeffs=()):
@@ -160,40 +160,52 @@ class Polynomial:
 
     def _clear(self):
         cs = self.coeffs or (0,)
-        if all(is_exact(c) for c in cs):
-            den = math.lcm(*(c.denominator for c in cs))
-            cleared = (tuple(c.numerator * (den // c.denominator)
-                             for c in reversed(cs)), den)
-        else:
-            cleared = None
+        if not all(is_exact(c) for c in cs):
+            raise TypeError(f"cannot evaluate {self!r}: inexact coefficient")
+        den = math.lcm(*(c.denominator for c in cs))
+        cleared = (tuple(c.numerator * (den // c.denominator)
+                         for c in reversed(cs)), den)
         object.__setattr__(self, "_cleared", cleared)
         return cleared
 
     def __call__(self, x):
-        """Horner evaluation.
+        """Horner evaluation on the cached cleared coefficients a_n..a_0, D.
 
-        At an ``int`` or ``Fraction`` x = p/q with exact coefficients, sums
-        a_i p^i q^(n-i) over the cached cleared coefficients and returns one
-        ``Fraction``, equal to the rational Horner loop.  Anywhere else the
-        Horner loop runs in the promoted backend of x and the coefficients.
+        At an ``int`` or ``Fraction`` x = p/q it sums a_i p^i q^(n-i) and
+        returns one exact ``Fraction``.  At a floating x = m/2^e it runs the
+        same loop in fixed point with f fraction bits, doubling f until the
+        truncation error is below 2^-(prec+2) of the sum, and rounds the sum
+        over D 2^f once to nearest at the precision of x: the value is
+        within one ulp of the polynomial's exact value at x.  A coefficient
+        that is not exact raises ``TypeError``.
         """
+        try:
+            cleared = self._cleared
+        except AttributeError:
+            cleared = self._clear()
+        top_down, den = cleared
         if is_exact(x):
-            try:
-                cleared = self._cleared
-            except AttributeError:
-                cleared = self._clear()
-            if cleared is not None:
-                top_down, den = cleared
-                p, q = x.numerator, x.denominator
-                acc, qk = top_down[0], 1
-                for a in top_down[1:]:
-                    qk *= q
-                    acc = acc * p + a * qk
-                return Fraction(acc, den * qk)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            p, q = x.numerator, x.denominator
+            acc, qk = top_down[0], 1
+            for a in top_down[1:]:
+                qk *= q
+                acc = acc * p + a * qk
+            return Fraction(acc, den * qk)
+        m, e = dyadic(x)
+        prec = x.precision
+        n = len(top_down) - 1
+        # each step truncates by under one unit of 2^-f, and a later step
+        # scales an earlier error by |x|: the sum is off by under
+        # n max(1, |x|)^n <= 2^slack units; with f >= n e no step truncates
+        slack = n.bit_length() + n * max(0, m.bit_length() - e)
+        f = prec + 32 + slack
+        while True:
+            acc = top_down[0] << f
+            for a in top_down[1:]:
+                acc = ((acc * m) >> e) + (a << f)
+            if f >= n * e or abs(acc).bit_length() > prec + 2 + slack:
+                return round_scaled(acc, den, f, prec)
+            f *= 2
 
     def shift(self, h) -> "Polynomial":
         """p(x + h), by Horner over the polynomial ring."""

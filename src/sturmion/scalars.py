@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import partialmethod
 
 from mpmath.libmp import (
-    from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos_pi, mpf_div, mpf_hash,
-    mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_sin_pi, mpf_sub,
-    round_nearest, to_str)
+    from_int, from_rational, mpf_abs, mpf_add, mpf_cmp, mpf_cos_pi, mpf_div,
+    mpf_hash, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift, mpf_sin_pi,
+    mpf_sub, round_nearest, to_str)
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -131,20 +131,32 @@ def to_fraction(x) -> Fraction:
     """Exact rational value of a scalar (every BigFloat is dyadic)."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, BigFloat):
-        sign, man, exp, _ = x._mpf_
-        mag = Fraction(int(man)) * (
-            Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** -exp))
-        return -mag if sign else mag
-    raise TypeError(f"not a scalar: {x!r}")
+    m, e = dyadic(x)
+    return Fraction(m, 1 << e)
+
+
+def dyadic(x: BigFloat) -> tuple[int, int]:
+    """(m, e) with e >= 0 and x = m / 2**e exactly."""
+    if not isinstance(x, BigFloat):
+        raise TypeError(f"not a scalar: {x!r}")
+    sign, man, exp, _ = x._mpf_
+    m = -int(man) if sign else int(man)
+    return (m << exp, 0) if exp >= 0 else (m, -exp)
+
+
+def round_scaled(num: int, den: int, shift: int, precision: int) -> BigFloat:
+    """num / (den * 2**shift), rounded once to nearest at ``precision`` bits."""
+    return BigFloat(mpf_shift(from_rational(num, den, precision, round_nearest),
+                              -shift), precision)
 
 
 def tolerance(precision: int) -> Fraction:
     """Bound on |candidate - target| for a value carried at ``precision``
     bits: 2**-floor(25*precision/32), which is 2**-200 at the default 256.
 
-    The remaining 7/32 of the bits absorb the rounding of Horner evaluation,
-    which loses about 1.3 bits per degree on the trigonometric grids.
+    The remaining 7/32 of the bits absorb the conditioning of the weights
+    at nodes rounded to ``precision`` bits; polynomial values themselves
+    are within one ulp (:meth:`poly.Polynomial.__call__`).
     """
     return Fraction(1, 2 ** (25 * precision // 32))
 

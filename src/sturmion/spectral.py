@@ -97,12 +97,12 @@ def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
     return polys
 
 
-def _node_residual_ok(p_top: Polynomial, x) -> bool:
-    v = p_top(x)
-    if is_exact(x) and is_exact(v):
-        return v == 0
-    bits = 128 if is_exact(x) else x.precision // 2
-    return abs(v) < Fraction(1, 2 ** bits)
+def _is_root(value, slope, x) -> bool:
+    """P_{N+1}(x) = value and P'_{N+1}(x) = slope: an exact node must be a
+    root, and a floating one within one ulp of a root by a Newton step."""
+    if is_exact(x):
+        return value == 0
+    return abs(value) <= abs(slope * x) / 2 ** (x.precision - 1)
 
 
 def _weights(p_top: Polynomial, p_next: Polynomial, nodes, weight) -> SpectralData:
@@ -111,10 +111,11 @@ def _weights(p_top: Polynomial, p_next: Polynomial, nodes, weight) -> SpectralDa
     dp = p_top.derivative()
     weights = []
     for s, x in enumerate(nodes):
-        if not _node_residual_ok(p_top, x):
+        slope = dp(x)
+        if not _is_root(p_top(x), slope, x):
             raise NodeMismatch(
                 f"node {s}, {x!r}, is not a root of the top polynomial")
-        weights.append(weight(dp(x), p_next(x)))
+        weights.append(weight(slope, p_next(x)))
     return SpectralData(tuple(nodes), tuple(weights))
 
 

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from sturmion import cli
 from sturmion.cli import parse_polynomial, PolynomialSyntaxError
 from sturmion.poly import Polynomial
+from sturmion.spectral import SpectralData
 
 
 def run_cli(*argv, env=None):
@@ -89,14 +91,29 @@ def test_chain_bad_grid_option_exit_2(grid, option):
     assert "Traceback" not in proc.stderr
 
 
-def test_chain_weight_failure_exit_4():
-    # 64 bits are too few for the trig1 weights at N = 80
-    proc = run_cli("--precision", "64", "chain", "--grid", "trig1",
-                   "--n", "80")
-    assert proc.returncode == 4
-    assert "grid trig1, N=80" in proc.stderr
-    assert "at node 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+@pytest.mark.parametrize("precision, n", [("64", "80"), ("128", "120")])
+def test_chain_trig_weights_at_low_precision(precision, n):
+    proc = run_cli("--precision", precision, "chain", "--grid", "trig1",
+                   "--n", n)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    for key in ("primal_weights", "dual_weights"):
+        assert len(payload[key]) == int(n) + 1
+        assert all(w["precision_bits"] == int(precision)
+                   and float(w["value"]) > 0 for w in payload[key])
+
+
+def test_chain_weight_failure_exit_4(monkeypatch, capsys):
+    def negative_first_weight(chain, xs):
+        return SpectralData(tuple(xs),
+                            (Fraction(-1),) + (Fraction(1),) * (len(xs) - 1))
+
+    monkeypatch.setattr(cli, "primal_weights", negative_first_weight)
+    assert cli.main(["chain", "--grid", "linear", "--n", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "grid linear, N=3" in err
+    assert "at node 0" in err
+    assert "Traceback" not in err
 
 
 def test_chain_closed_output_pipe_ends_quietly():

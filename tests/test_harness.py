@@ -95,6 +95,14 @@ def test_run_all_minimal_shape():
         assert r.status in (harness.EXACT, harness.TOLERANCE)
 
 
+def test_run_all_checks_trig_at_the_given_precision():
+    reports = {r.name: r for r in harness.run_all(3, precision=64)}
+    for name in ("trig_first", "trig_second"):
+        assert reports[name].status == harness.TOLERANCE
+        assert Fraction(1, 2**100) < reports[name].residual \
+            < Fraction(1, 2**50)
+
+
 def test_run_all_rejects_bad_nmax():
     with pytest.raises(ValueError):
         harness.run_all(0)

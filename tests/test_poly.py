@@ -132,8 +132,43 @@ def test_exact_evaluation_is_horner(p, points, precision):
         assert type(value) is Fraction
         assert value == fraction_horner(p, x)
         xf = BigFloat(x, precision)
-        assert to_fraction(p(xf)) == to_fraction(fraction_horner(p, xf))
+        exact_value = fraction_horner(p, to_fraction(xf))
+        got = p(xf)
+        assert got.precision == precision
+        assert abs(to_fraction(got) - exact_value) <= ulp(exact_value,
+                                                         precision)
     assert p == twin and hash(p) == before
+
+
+def ulp(v: Fraction, precision: int) -> Fraction:
+    """Unit in the last place of v at ``precision`` bits; 0 for v = 0."""
+    if v == 0:
+        return Fraction(0)
+    v = abs(v)
+    e = v.numerator.bit_length() - v.denominator.bit_length()
+    if Fraction(2) ** e > v:
+        e -= 1
+    return Fraction(2) ** (e - precision + 1)
+
+
+def test_floating_evaluation_near_and_at_a_root():
+    # a triple root at 1/3 cancels about 3 * precision bits, and -1/2 is a
+    # root that a floating point holds exactly
+    p = Polynomial.from_roots([Fraction(1, 3)] * 3 + [Fraction(-1, 2)])
+    for precision in (64, 512):
+        near = BigFloat(Fraction(1, 3), precision)
+        exact_value = fraction_horner(p, to_fraction(near))
+        assert exact_value != 0
+        assert abs(to_fraction(p(near)) - exact_value) <= ulp(exact_value,
+                                                              precision)
+        assert p(BigFloat(Fraction(-1, 2), precision)) == 0
+
+
+def test_inexact_coefficient_is_not_evaluated():
+    p = Polynomial((Fraction(1), BigFloat(2)))
+    for x in (Fraction(1, 3), BigFloat(Fraction(1, 3))):
+        with pytest.raises(TypeError):
+            p(x)
 
 
 def test_from_roots_rejects_a_float_root():

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sturmion import grids
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
+from sturmion.scalars import BigFloat, dyadic, sin_pi, to_fraction
 from sturmion.spectral import (
     JacobiMatrix,
     NodeMismatch,
@@ -99,6 +101,66 @@ def test_weights_reject_non_roots():
     chain, nodes = linear_setup(2)
     with pytest.raises(NodeMismatch):
         primal_weights(chain, [Fraction(7)] + nodes[1:])
+
+
+TRIG_PRECISIONS = (64, 128, 256, 512)
+
+
+def trig_spec(kind, n, precision=256):
+    return (grids.trig_first if kind == 1 else grids.trig_second)(n, precision)
+
+
+def trig_chain(kind, n):
+    return build_chain(*sturmian_pair(grids.characteristic_polynomial(
+        trig_spec(kind, n))))
+
+
+def sine_law(kind, n, s, precision):
+    """Primal trig weight w_s in closed form, from sin at ``precision`` bits."""
+    if kind == 1:
+        sine = sin_pi(Fraction(2 * s + 1, 2 * (n + 1)), precision)
+        return Fraction(2, n + 1) * to_fraction(sine) ** 2
+    sine = sin_pi(Fraction(s + 1, n + 2), precision)
+    return Fraction(8, 3 * (n + 2)) * to_fraction(sine) ** 4
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("n", [20, 80, 160])
+def test_trig_weight_accuracy(kind, n):
+    chain = trig_chain(kind, n)
+    for precision in TRIG_PRECISIONS:
+        nodes = grids.nodes(trig_spec(kind, n, precision))
+        primal = primal_weights(chain, nodes)
+        dual = dual_weights(chain.polys[0], chain.polys[1], nodes)
+        for s, (w, ws) in enumerate(zip(primal.weights, dual.weights)):
+            target = sine_law(kind, n, s, precision + 64)
+            assert abs(to_fraction(w) - target) \
+                <= target / 2 ** (precision - 16)
+            assert abs(to_fraction(ws) - Fraction(1, n + 1)) \
+                <= Fraction(1, 2 ** (precision - 3))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_trig_nodes_pass_the_node_check(kind):
+    # small N covers a zero node (trig1, N even) and the exact node -1/2
+    # (trig2, 3 divides N + 2); test_trig_weight_accuracy covers large N
+    for n in range(1, 41):
+        chain = trig_chain(kind, n)
+        for precision in TRIG_PRECISIONS:
+            dual_weights(chain.polys[0], chain.polys[1],
+                         grids.nodes(trig_spec(kind, n, precision)))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_node_moved_by_256_ulps_is_rejected(kind):
+    chain = trig_chain(kind, 20)
+    for precision in TRIG_PRECISIONS:
+        nodes = grids.nodes(trig_spec(kind, 20, precision))
+        m, e = dyadic(nodes[1])
+        ulp = Fraction(2) ** (m.bit_length() - e - precision)
+        moved = BigFloat(to_fraction(nodes[1]) + 2**8 * ulp, precision)
+        with pytest.raises(NodeMismatch):
+            primal_weights(chain, [nodes[0], moved] + nodes[2:])
 
 
 def test_duality_product_anchor():
