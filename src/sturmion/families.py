@@ -1,11 +1,10 @@
 """Closed-form data for the classical families under test: Hahn, Racah,
 q-Hahn, Chebyshev T/U and ultraspherical.
 
-All recurrence coefficients are in monic form, all values computed by the
-terminating (q-)hypergeometric sums in exact rational arithmetic.  The
-truncation index n = N is handled by the convention A_N = 0 (the (N - n)
-factor wins the 0/0 against a vanishing denominator for the parameter
-sets used here), and likewise C_0 = 0 via its n factor.
+All recurrence coefficients are in monic form and all weights are exact
+rationals.  The truncation index n = N is handled by the convention
+A_N = 0 (the (N - n) factor wins the 0/0 against a vanishing denominator
+for the parameter sets used here), and likewise C_0 = 0 via its n factor.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ class Hahn:
         for n in range(self.n_max + 1):
             self.recurrence(n)
 
-    def node(self, s: int) -> Fraction:
-        return Fraction(s)
-
     def _a(self, n: int) -> Fraction:
         if n == self.n_max:
             return Fraction(0)
@@ -102,35 +98,6 @@ class Hahn:
         b = self._a(n) + self._c(n)
         u = self._a(n - 1) * self._c(n) if n >= 1 else None
         return b, u
-
-    def weights(self) -> SpectralData:
-        al, be, nn = self.alpha, self.beta, self.n_max
-        den = poch(al + be + 2, nn)
-        if den == 0:
-            raise DenominatorZero("Hahn", "normalization")
-        nu = poch(be + 1, nn) / den
-        ws = []
-        for s in range(nn + 1):
-            d = Fraction(_factorial(s)) * poch(-nn - be, s)
-            w = nu * _checked_div(poch(-nn, s) * poch(al + 1, s), d, "Hahn", s)
-            if not w > 0:
-                raise NonPositiveWeightFor("Hahn", s, w)
-            ws.append(w)
-        return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
-
-    def value(self, n: int, s: int) -> Fraction:
-        """Monic H_n at the grid point x = s, by the terminating 3F2 sum."""
-        al, be, nn = self.alpha, self.beta, self.n_max
-        kappa_den = poch(n + al + be + 1, n)
-        if kappa_den == 0:
-            raise DenominatorZero("Hahn", f"kappa_{n}")
-        kappa = poch(-nn, n) * poch(al + 1, n) / kappa_den
-        total = Fraction(0)
-        for k in range(n + 1):
-            den = poch(-nn, k) * poch(al + 1, k) * _factorial(k)
-            num = poch(-n, k) * poch(Fraction(-s), k) * poch(n + al + be + 1, k)
-            total += _checked_div(num, den, "Hahn", f"term {k} of H_{n}")
-        return kappa * total
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +169,6 @@ class Racah:
             ws.append(w)
         return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
 
-    def value(self, n: int, s: int) -> Fraction:
-        """Monic value at the s-th grid node, by the terminating 4F3 sum."""
-        be, ga, de, nn = self.beta, self.gamma, self.delta, self.n_max
-        kappa_den = poch(n + be - nn, n)
-        if kappa_den == 0:
-            raise DenominatorZero("Racah", f"kappa_{n}")
-        kappa = poch(-nn, n) * poch(be + de + 1, n) * poch(ga + 1, n) / kappa_den
-        total = Fraction(0)
-        for k in range(n + 1):
-            den = (poch(-nn, k) * poch(be + de + 1, k) * poch(ga + 1, k)
-                   * _factorial(k))
-            num = (poch(-n, k) * poch(n + be - nn, k) * poch(Fraction(-s), k)
-                   * poch(s + ga + de + 1, k))
-            total += _checked_div(num, den, "Racah", f"term {k} of P_{n}")
-        return kappa * total
-
 
 # ---------------------------------------------------------------------------
 # q-Hahn
@@ -287,24 +238,6 @@ class QHahn:
         # exponential nodes increase with s already
         return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
 
-    def _term_coeff(self, n: int, k: int) -> Fraction:
-        a, b, q, nn = self.a, self.b, self.q, self.n_max
-        num = qpoch(q ** (-n), q, k) * qpoch(a * b * q ** (n + 1), q, k) * q**k
-        den = qpoch(q ** (-nn), q, k) * qpoch(a * q, q, k) * qpoch(q, q, k)
-        return _checked_div(num, den, "QHahn", f"term {k} of Q_{n}")
-
-    def value(self, n: int, s: int) -> Fraction:
-        """Monic value at x = q^{-s}, by the terminating 3phi2 sum."""
-        q = self.q
-        x = self.node(s)
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += self._term_coeff(n, k) * qpoch(x, q, k)
-        lead = self._term_coeff(n, n) * (-1) ** n * q ** (n * (n - 1) // 2)
-        if lead == 0:
-            raise DenominatorZero("QHahn", f"leading coefficient of Q_{n}")
-        return total / lead
-
 
 # ---------------------------------------------------------------------------
 # Chebyshev and ultraspherical
@@ -343,22 +276,6 @@ class Ultraspherical:
         den = 4 * (n + lam) * (n + lam - 1)
         u = _checked_div(n * (n + 2 * lam - 1), den, "Ultraspherical", n)
         return Fraction(0), u
-
-    def value(self, n: int, x: Fraction) -> Fraction:
-        """Monic value at arbitrary rational x, by the terminating 2F1 sum."""
-        lam = self.lam
-        z = (1 - Fraction(x)) / 2
-        total = Fraction(0)
-        for k in range(n + 1):
-            den = poch(lam + Fraction(1, 2), k) * _factorial(k)
-            num = poch(-n, k) * poch(n + 2 * lam, k) * z**k
-            total += _checked_div(num, den, "Ultraspherical", f"term {k}")
-        lead = poch(-n, n) * poch(n + 2 * lam, n) \
-            / (poch(lam + Fraction(1, 2), n) * _factorial(n)) \
-            * (Fraction(-1, 2)) ** n
-        if lead == 0:
-            raise DenominatorZero("Ultraspherical", f"leading coefficient {n}")
-        return total / lead
 
 
 def jacobi_matrix(fam, n_max: int) -> JacobiMatrix:

@@ -7,7 +7,6 @@ differing index and never auto-corrected."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,10 +75,6 @@ class CheckReport:
         if self.notes:
             d["notes"] = list(self.notes)
         return d
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
 
 
 class _Collector:

@@ -1,13 +1,15 @@
 """Closed-form hypergeometric families against the Euclidean oracle."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from sturmion import families, grids
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
-from sturmion.spectral import jacobi_from_chain, mirror_dual
+from sturmion.spectral import (check_orthogonality, generate_polys,
+                               jacobi_from_chain, mirror_dual)
 
 
 def oracle(spec):
@@ -57,28 +59,6 @@ def test_hahn_mirror_parameter_map():
         assert dual.u == u
 
 
-def test_hahn_weights_anchor():
-    fam = families.Hahn(Fraction(-3), Fraction(-3), 2)
-    sd = fam.weights()
-    assert sd.weights == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
-
-
-def test_hahn_values_satisfy_recurrence():
-    fam = families.Hahn(Fraction(1, 2), Fraction(2), 5)
-    for s in range(6):
-        x = fam.node(s)
-        for n in range(1, 5):
-            b, u = fam.recurrence(n)
-            lhs = fam.value(n + 1, s) + u * fam.value(n - 1, s)
-            rhs = (x - b) * fam.value(n, s)
-            assert lhs == rhs
-
-
-def test_hahn_value_anchor():
-    fam = families.Hahn(Fraction(-3), Fraction(-3), 2)
-    assert fam.value(1, 0) == -1  # P_1(x) = x - 1 at x = 0
-
-
 def test_racah_anchor_coefficients():
     fam = families.Racah(Fraction(-5, 2), Fraction(1, 2), Fraction(-1, 2), 2)
     b, u = family_arrays(fam, 2)
@@ -113,17 +93,6 @@ def test_racah_nodes_and_mass():
     assert [fam.node(s) for s in range(3)] == [0, 2, 6]
 
 
-def test_racah_values_satisfy_recurrence():
-    fam = families.Racah(Fraction(7, 2), Fraction(-1, 2), Fraction(1, 2), 3)
-    for s in range(4):
-        x = fam.node(s)
-        for n in range(1, 3):
-            b, u = fam.recurrence(n)
-            lhs = fam.value(n + 1, s) + u * fam.value(n - 1, s)
-            rhs = (x - b) * fam.value(n, s)
-            assert lhs == rhs
-
-
 def test_qhahn_anchor_coefficients():
     fam = families.QHahn(Fraction(4), Fraction(4), Fraction(1, 2), 1)
     b, u = family_arrays(fam, 1)
@@ -136,22 +105,23 @@ def test_qhahn_nodes():
     assert [fam.node(s) for s in range(3)] == [1, 2, 4]
 
 
-def test_qhahn_weights_sum_to_one():
-    fam = families.QHahn(Fraction(1), Fraction(1), Fraction(2, 3), 3)
+@pytest.mark.parametrize("fam", [
+    families.Racah(Fraction(7, 2), Fraction(-1, 2), Fraction(1, 2), 3),
+    families.Racah(Fraction(5, 2), Fraction(-1, 2), Fraction(1, 2), 2),
+    families.QHahn(Fraction(8), Fraction(8), Fraction(1, 2), 2),
+    families.QHahn(Fraction(1), Fraction(1), Fraction(2, 3), 3),
+], ids=["racah-N3", "racah-N2", "qhahn-N2", "qhahn-N3"])
+def test_qhahn_weights_sum_to_one(fam):
+    # the closed-form weights are a probability measure for the family's
+    # own recurrence: P_m, P_n orthogonal, and h_n = u_1 ... u_n
+    n_max = fam.n_max
+    jm = families.jacobi_matrix(fam, n_max)
     sd = fam.weights()
     assert sum(sd.weights) == 1
     assert all(w > 0 for w in sd.weights)
-
-
-def test_qhahn_values_satisfy_recurrence():
-    fam = families.QHahn(Fraction(8), Fraction(8), Fraction(1, 2), 2)
-    for s in range(3):
-        x = fam.node(s)
-        for n in range(1, 2):
-            b, u = fam.recurrence(n)
-            lhs = fam.value(n + 1, s) + u * fam.value(n - 1, s)
-            rhs = (x - b) * fam.value(n, s)
-            assert lhs == rhs
+    offdiag, diag = check_orthogonality(generate_polys(jm, n_max), sd)
+    assert offdiag == 0
+    assert diag == [prod(jm.u[:n]) for n in range(n_max + 1)]
 
 
 def test_chebyshev_recurrences_build_known_polys():
@@ -184,19 +154,6 @@ def test_chebyshev_derivative_relations():
         assert lhs == Fraction(n + 1) * grids.monic_u(n)
         lhs = grids.monic_u(n + 1).derivative()
         assert lhs == Fraction(n + 1) * pc[n]
-
-
-def test_ultraspherical_values_match_recurrence_polys():
-    lam = Fraction(3, 2)
-    fam = families.Ultraspherical(lam)
-    x = Polynomial.x()
-    pc = [Polynomial.constant(Fraction(1)), x]
-    for n in range(1, 6):
-        _, uc = fam.recurrence(n)
-        pc.append(x * pc[n] - uc * pc[n - 1])
-    for n in range(6):
-        for xv in (Fraction(0), Fraction(1, 3), Fraction(-2, 5)):
-            assert fam.value(n, xv) == pc[n](xv)
 
 
 def test_denominator_zero_reported_with_index():

@@ -1,7 +1,6 @@
-"""Classical grids: nodes, characteristic polynomials, classification and
-recovery of grid parameters from raw node lists."""
+"""Classical grids: nodes, characteristic polynomials and the CLI grid
+syntax."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -31,21 +30,13 @@ def test_bad_parameters_rejected():
         grids.quadratic(Fraction(-2), 2)
     with pytest.raises(ValueError):
         grids.exponential(Fraction(3, 2), 2)
-    with pytest.raises(ValueError):
-        grids.linear(2, scale=0)
-
-
-def test_affine_map_and_reversal():
-    spec = grids.linear(2, scale=Fraction(-2), shift=Fraction(5))
-    assert grids.nodes(spec) == [1, 3, 5]
 
 
 def test_characteristic_polynomial_vanishes_on_nodes():
     for spec in (grids.linear(4),
                  grids.quadratic(Fraction(1), 3),
                  grids.quadratic(Fraction(5, 2), 3),
-                 grids.exponential(Fraction(2, 3), 3),
-                 grids.linear(3, scale=Fraction(1, 2), shift=Fraction(-1))):
+                 grids.exponential(Fraction(2, 3), 3)):
         p = grids.characteristic_polynomial(spec)
         xs = grids.nodes(spec)
         assert p.degree == spec.n + 1
@@ -84,67 +75,6 @@ def test_monic_chebyshev_closed_form():
         lhs = grids.monic_t(n)(cos_pi(t))
         rhs = Fraction(1, 2 ** (n - 1)) * cos_pi(Fraction(n) * t)
         assert abs(to_fraction(lhs - rhs)) < Fraction(1, 2**200)
-
-
-def test_grid_constants_linear():
-    omega, nu = grids.grid_constants(grids.linear(3))
-    assert omega == 2
-    assert nu == 0
-
-
-def test_grid_constants_quadratic():
-    omega, nu = grids.grid_constants(grids.quadratic(Fraction(1), 3))
-    assert omega == 2
-    assert nu == 2
-
-
-def test_grid_constants_exponential():
-    q = Fraction(1, 2)
-    omega, nu = grids.grid_constants(grids.exponential(q, 3))
-    assert omega == q + 1 / q
-    assert nu == 0
-
-
-def test_nodes_satisfy_difference_equation():
-    for spec in (grids.linear(5),
-                 grids.quadratic(Fraction(3), 5),
-                 grids.exponential(Fraction(1, 3), 5),
-                 grids.quadratic(Fraction(1), 4, scale=Fraction(2),
-                                 shift=Fraction(-7))):
-        omega, nu = grids.grid_constants(spec)
-        xs = grids.nodes(spec)
-        if spec.scale < 0:
-            xs.reverse()
-        for s in range(1, len(xs) - 1):
-            assert xs[s + 1] + xs[s - 1] - omega * xs[s] == nu
-
-
-def test_classify():
-    assert grids.classify(Fraction(2))[0] == "quadratic"
-    assert grids.classify(Fraction(-2))[0] == "bannai_ito"
-    label, q = grids.classify(Fraction(5, 2))
-    assert label == "askey_wilson"
-    assert q in (Fraction(1, 2), Fraction(2))
-    label, q = grids.classify(Fraction(1))
-    assert label == "trigonometric"
-
-
-def test_affine_reduce_round_trip():
-    random.seed(9)
-    cases = [grids.linear(4, scale=Fraction(3), shift=Fraction(-2)),
-             grids.quadratic(Fraction(1), 4, scale=Fraction(1, 2)),
-             grids.quadratic(Fraction(2), 5, shift=Fraction(7)),
-             grids.exponential(Fraction(1, 2), 4, scale=Fraction(2))]
-    for spec in cases:
-        xs = grids.nodes(spec)
-        recovered, _ = grids.affine_reduce(xs)
-        assert grids.nodes(recovered) == xs
-
-
-def test_affine_reduce_rejects_non_classical():
-    with pytest.raises(grids.GridError):
-        grids.affine_reduce([Fraction(0), Fraction(1), Fraction(2),
-                             Fraction(4), Fraction(8)])
 
 
 def test_parse_grid():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sturmion import grids, harness, transforms
+from sturmion import cli, grids, harness, transforms
 from sturmion.scalars import BigFloat
 from sturmion.spectral import PoleHit
 
@@ -108,11 +108,13 @@ def test_run_all_rejects_bad_nmax():
         harness.run_all(0)
 
 
-def test_reports_serialize_deterministically():
-    a = harness.reports_to_json(harness.run_all(2, (Fraction(1, 2),)))
-    b = harness.reports_to_json(harness.run_all(2, (Fraction(1, 2),)))
-    assert a == b
-    assert "655/192" in a
+def test_reports_serialize_deterministically(capsys):
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["verify", "--nmax", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "655/192" in outputs[0]
 
 
 def test_report_witness_on_forced_mismatch():
