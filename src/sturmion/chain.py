@@ -8,7 +8,8 @@ coefficients b_0..b_N and u_1..u_N, u_n > 0, satisfying
 
 Sign variations along the chain count real roots: the chain differs from
 the textbook negated-remainder chain only by positive factors u_n, which
-never change a sign pattern.
+never change a sign pattern.  :func:`count_roots` runs that textbook
+chain itself, so it takes any polynomial, with repeated or complex roots.
 """
 
 from __future__ import annotations
@@ -122,18 +123,24 @@ def count_from_chain(chain: SturmChain, a, b) -> int:
 
 
 def count_roots(p: Polynomial, a, b) -> int:
-    """Exact number of roots of p in (a, b] via Sturm sign variations.
+    """Exact number of distinct real roots of p in (a, b].
 
-    p must have simple real roots; chain construction raises otherwise.
-    An endpoint that is itself a root is handled exactly by the half-open
-    convention: a root at a is excluded, a root at b included.
+    Sturm's theorem on the signed remainder sequence p, p', -rem, ...,
+    each member divided by g = gcd(p, p'), so repeated and non-real roots
+    are allowed.  A root at an endpoint is handled exactly by the
+    half-open convention: a root at a is excluded, a root at b included.
     """
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots to count")
-    if not p.is_monic:
-        p = p * (Fraction(1) / p.leading)
-    chain = build_chain(*sturmian_pair(p))
-    return count_from_chain(chain, a, b)
+    seq = [p, p.derivative()]
+    while not (r := seq[-2] % seq[-1]).is_zero:
+        seq.append(r * (Fraction(-1) / abs(r.leading)))
+    g = seq[-1]
+    if g.degree > 0:
+        seq = [s // g for s in seq]
+    # a general Sturm sequence has no (b, u); sign variations read only
+    # its polynomials
+    return count_from_chain(SturmChain(tuple(seq), (), ()), a, b)
 
 
 def interlaces(p: Polynomial, q: Polynomial) -> bool:

@@ -4,8 +4,9 @@ in an interval, and run the verification suite, with machine-readable output.
 Exit codes: 0 success, also when the reader closes the output pipe early;
 1 unexpected verification mismatch; 2 input parse error, including a bad
 grid option and a STURMION_PRECISION that is not a whole number of bits;
-3 degenerate grid; 4 chain or weight failure (e.g. non-simple roots, or a
-weight that is not positive at the working precision)."""
+3 degenerate grid; 4 chain or weight failure (e.g. a node that is not a
+root of the characteristic polynomial, or a weight that is not positive at
+the working precision)."""
 
 from __future__ import annotations
 
@@ -195,19 +196,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse reads a value such as "-1/2" as an option and not as the value of
-# the option before it; only "-1" and "-1.5" pass as negative numbers
+# argparse reads a value such as "-1/2" or "-x^2+1" as an option and not as
+# the value of the option before it; only "-1" and "-1.5" pass as negative
+# numbers
 _RATIONAL_OPTIONS = ("--lo", "--hi", "--q")
 _NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+_NEGATIVE_POLY = re.compile(r"-[^-]")
 
 
 def _attach_negative_rationals(argv):
-    """Write "--lo -1/2" as "--lo=-1/2", and likewise for --hi and --q."""
+    """Write "--lo -1/2" as "--lo=-1/2", likewise for --hi and --q, and
+    "--poly -x^2+1" as "--poly=-x^2+1"."""
     out = []
     for arg in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS \
-                and _NEGATIVE_RATIONAL.fullmatch(arg):
-            out[-1] = f"{out[-1]}={arg}"
+        option = out[-1] if out else None
+        if option in _RATIONAL_OPTIONS and _NEGATIVE_RATIONAL.fullmatch(arg) \
+                or option == "--poly" and _NEGATIVE_POLY.match(arg):
+            out[-1] = f"{option}={arg}"
         else:
             out.append(arg)
     return out

@@ -88,7 +88,7 @@ def trig_second(n: int, precision: int = DEFAULT_PRECISION) -> GridSpec:
 
 
 def nodes(spec: GridSpec):
-    """The grid's nodes x_0 < ... < x_N, checked to be strictly increasing."""
+    """The grid's nodes x_0 < ... < x_N, checked to be distinct."""
     n = spec.n
     if spec.kind == LINEAR:
         xs = [Fraction(s) for s in range(n + 1)]
@@ -100,7 +100,8 @@ def nodes(spec: GridSpec):
         xs = [q ** (-s) for s in range(n + 1)]
     elif spec.kind == ASKEY_WILSON:
         q, c1, c2, c0 = spec.params
-        xs = [c1 * q**s + c2 * q ** (-s) + c0 for s in range(n + 1)]
+        # c1 q^s + c2 q^-s need not increase with s: the grid is the sorted set
+        xs = sorted(c1 * q**s + c2 * q ** (-s) + c0 for s in range(n + 1))
     elif spec.kind == BANNAI_ITO:
         c1, c2, c0 = spec.params
         # the nodes alternate around c0, so the grid is their sorted set
@@ -118,8 +119,6 @@ def nodes(spec: GridSpec):
     for a, b in zip(xs, xs[1:]):
         if a == b:
             raise DegenerateGrid(f"grid node {a} is repeated")
-        if not a < b:
-            raise DegenerateGrid(f"nodes not strictly increasing: {a}, {b}")
     return xs
 
 

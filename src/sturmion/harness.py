@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import families, grids, transforms
 from .chain import build_chain, sturmian_pair
@@ -34,8 +35,6 @@ EXACT = "exact_match"
 TOLERANCE = "within_tolerance"
 MISMATCH = "mismatch"
 SKIPPED = "skipped"
-
-_STATUS_RANK = {EXACT: 0, TOLERANCE: 1, SKIPPED: 2, MISMATCH: 3}
 
 
 def _fmt(x) -> str:
@@ -78,17 +77,29 @@ class CheckReport:
 
 
 class _Collector:
-    """Accumulates exact and toleranced comparisons for one report."""
+    """Accumulates exact and toleranced comparisons, skips and folded
+    reports for one report; the status is the worst of them, in the order
+    mismatch, skipped, within tolerance, exact."""
 
     def __init__(self):
         self.witness = None
         self.worst = Fraction(0)
         self.toleranced = False
+        self.skipped = False
         self.notes = []
 
     def eq(self, label: str, oracle, candidate):
         if self.witness is None and oracle != candidate:
             self.witness = (label, oracle, candidate)
+
+    def matrix(self, jm, form, star: str = "", prefix: str = ""):
+        """Compare jm with the closed form n -> (b_n, u_n), entry by entry,
+        as "{prefix}b{star}_n" and "{prefix}u{star}_n"; u_0 is not read."""
+        for n in range(jm.n + 1):
+            b, u = form(n)
+            self.eq(f"{prefix}b{star}_{n}", jm.b[n], b)
+            if n >= 1:
+                self.eq(f"{prefix}u{star}_{n}", jm.u[n - 1], u)
 
     def close(self, label: str, oracle, candidate):
         self.toleranced = True
@@ -99,9 +110,28 @@ class _Collector:
         if self.witness is None and res >= tolerance(diff.precision):
             self.witness = (label, oracle, candidate)
 
+    def skip(self, exc: Exception):
+        self.skipped = True
+        self.notes.append(f"skipped: {exc}")
+
+    def fold(self, part: CheckReport):
+        """Take in an instance's report, its labels and notes prefixed by
+        "grid N=n"."""
+        where = f"{part.grid} N={part.n_max}"
+        if self.witness is None and part.witness is not None:
+            label, oracle, candidate = part.witness
+            self.witness = (f"{where} {label}", oracle, candidate)
+        if part.residual is not None:
+            self.toleranced = True
+            self.worst = max(self.worst, part.residual)
+        self.skipped |= part.status == SKIPPED
+        self.notes += [f"{where}: {note}" for note in part.notes]
+
     def report(self, name: str, grid: str, n_max: int) -> CheckReport:
         if self.witness is not None:
             status = MISMATCH
+        elif self.skipped:
+            status = SKIPPED
         elif self.toleranced:
             status = TOLERANCE
         else:
@@ -125,19 +155,25 @@ def _grid_label(spec: grids.GridSpec) -> str:
     return ":".join(parts)
 
 
+def _entries(jm):
+    """n -> (b_n, u_n) of a Jacobi matrix, u_0 = 0."""
+    return lambda n: (jm.b[n], jm.u[n - 1] if n else 0)
+
+
 def _oracle(spec: grids.GridSpec):
     """Euclidean chain of the Sturmian pair of the grid's characteristic
-    polynomial, plus the grid nodes."""
+    polynomial, its Jacobi matrix and the grid nodes."""
     char = grids.characteristic_polynomial(spec)
     chain = build_chain(*sturmian_pair(char))
-    return chain, grids.nodes(spec)
+    return chain, jacobi_from_chain(chain), grids.nodes(spec)
 
 
 def verify_legendre_duality(spec: grids.GridSpec) -> CheckReport:
     """Dual weights of the Sturmian pair equal the constant 1/(N+1)."""
     col = _Collector()
-    chain, xs = _oracle(spec)
-    dw = dual_weights(chain.polys[0], chain.polys[1], xs)
+    dw = dual_weights(
+        *sturmian_pair(grids.characteristic_polynomial(spec)),
+        grids.nodes(spec))
     target = Fraction(1, spec.n + 1)
     trig = spec.kind in (grids.TRIG_FIRST, grids.TRIG_SECOND)
     for s, w in enumerate(dw.weights):
@@ -155,25 +191,15 @@ def verify_linear(n_max: int) -> CheckReport:
     satisfies the second-order difference equation."""
     col = _Collector()
     spec = grids.linear(n_max)
-    chain, xs = _oracle(spec)
-    jm = jacobi_from_chain(chain)
+    chain, jm, xs = _oracle(spec)
     dual = mirror_dual(jm)
 
     direct = families.Hahn(Fraction(-n_max - 1), Fraction(-n_max - 1), n_max)
     mirrored = families.Hahn(Fraction(0), Fraction(0), n_max)
-    for n in range(n_max + 1):
-        b, u = direct.recurrence(n)
-        col.eq(f"b_{n}", jm.b[n], b)
-        if n >= 1:
-            col.eq(f"u_{n}", jm.u[n - 1], u)
-        b, u = mirrored.recurrence(n)
-        col.eq(f"b*_{n}", dual.b[n], b)
-        if n >= 1:
-            col.eq(f"u*_{n}", dual.u[n - 1], u)
-        bd, ud = families.legendre_dual_coeffs("linear", n_max, n)
-        col.eq(f"dual-form b*_{n}", dual.b[n], bd)
-        if n >= 1:
-            col.eq(f"dual-form u*_{n}", dual.u[n - 1], ud)
+    col.matrix(jm, direct.recurrence)
+    col.matrix(dual, mirrored.recurrence, "*")
+    col.matrix(dual, partial(families.legendre_dual_coeffs, "linear", n_max),
+               "*", "dual-form ")
 
     nu = Fraction(
         families._factorial(n_max) ** 2, families._factorial(2 * n_max))
@@ -205,8 +231,7 @@ def verify_quadratic_tau1(n_max: int) -> CheckReport:
     dual b closed form is compared but only reported, never asserted."""
     col = _Collector()
     spec = grids.quadratic(Fraction(1), n_max)
-    chain, _ = _oracle(spec)
-    jm = jacobi_from_chain(chain)
+    _, jm, _ = _oracle(spec)
     dual = mirror_dual(jm)
 
     try:
@@ -215,20 +240,13 @@ def verify_quadratic_tau1(n_max: int) -> CheckReport:
         sturm_fam = families.Racah(
             Fraction(-2 * n_max - 1, 2), Fraction(1, 2), Fraction(-1, 2), n_max)
     except families.FamilyError as exc:
-        col.notes.append(f"skipped: {exc}")
-        return CheckReport("quadratic_tau1_racah", _grid_label(spec), n_max,
-                           SKIPPED, notes=tuple(col.notes))
+        col.skip(exc)
+        return col.report("quadratic_tau1_racah", _grid_label(spec), n_max)
 
+    col.matrix(dual, dual_fam.recurrence, "*")
+    col.matrix(jm, sturm_fam.recurrence)
     disagreements = []
     for n in range(n_max + 1):
-        b, u = dual_fam.recurrence(n)
-        col.eq(f"b*_{n}", dual.b[n], b)
-        if n >= 1:
-            col.eq(f"u*_{n}", dual.u[n - 1], u)
-        b, u = sturm_fam.recurrence(n)
-        col.eq(f"b_{n}", jm.b[n], b)
-        if n >= 1:
-            col.eq(f"u_{n}", jm.u[n - 1], u)
         bd, ud = families.legendre_dual_coeffs("quad_tau1", n_max, n)
         if n >= 1:
             col.eq(f"dual-form u*_{n}", dual.u[n - 1], ud)
@@ -252,8 +270,7 @@ def verify_quadratic_tau2(n_max: int) -> CheckReport:
     x_s + 1."""
     col = _Collector()
     spec = grids.quadratic(Fraction(2), n_max)
-    chain, xs = _oracle(spec)
-    jm = jacobi_from_chain(chain)
+    chain, jm, xs = _oracle(spec)
 
     try:
         fam = families.Racah(
@@ -261,14 +278,11 @@ def verify_quadratic_tau2(n_max: int) -> CheckReport:
         source = families.jacobi_matrix(fam, n_max)
         transformed, _ = transforms.christoffel(source, Fraction(-1))
     except (families.FamilyError, transforms.TransformError) as exc:
-        col.notes.append(f"skipped: {exc}")
-        return CheckReport("quadratic_tau2_christoffel", _grid_label(spec),
-                           n_max, SKIPPED, notes=tuple(col.notes))
+        col.skip(exc)
+        return col.report("quadratic_tau2_christoffel", _grid_label(spec),
+                          n_max)
 
-    for n in range(n_max + 1):
-        col.eq(f"b_{n}", jm.b[n], transformed.b[n])
-        if n >= 1:
-            col.eq(f"u_{n}", jm.u[n - 1], transformed.u[n - 1])
+    col.matrix(jm, _entries(transformed))
 
     legendre = mirror_dual(jm)
     lifted, _ = transforms.christoffel(legendre, Fraction(-1))
@@ -298,8 +312,7 @@ def verify_exponential(q: Fraction, n_max: int) -> CheckReport:
     and the coefficient-level transform formulas reproduce the chain."""
     col = _Collector()
     spec = grids.exponential(q, n_max)
-    chain, xs = _oracle(spec)
-    jm = jacobi_from_chain(chain)
+    chain, jm, xs = _oracle(spec)
 
     try:
         big = Fraction(q) ** (-(n_max + 1))
@@ -311,17 +324,11 @@ def verify_exponential(q: Fraction, n_max: int) -> CheckReport:
         j_plain = families.jacobi_matrix(plain, n_max)
         uv, _ = transforms.uvarov(j_plain, plain.weights(), Fraction(0))
     except (families.FamilyError, transforms.TransformError) as exc:
-        col.notes.append(f"skipped: {exc}")
-        return CheckReport("exponential_qhahn", _grid_label(spec), n_max,
-                           SKIPPED, notes=tuple(col.notes))
+        col.skip(exc)
+        return col.report("exponential_qhahn", _grid_label(spec), n_max)
 
-    dual = mirror_dual(jm)
-    for n in range(n_max + 1):
-        col.eq(f"b_{n}", jm.b[n], transformed.b[n])
-        col.eq(f"b*_{n}", dual.b[n], uv.b[n])
-        if n >= 1:
-            col.eq(f"u_{n}", jm.u[n - 1], transformed.u[n - 1])
-            col.eq(f"u*_{n}", dual.u[n - 1], uv.u[n - 1])
+    col.matrix(jm, _entries(transformed))
+    col.matrix(mirror_dual(jm), _entries(uv), "*")
 
     bs, us = transforms.christoffel_coefficients(j_source, Fraction(0))
     for n, b in enumerate(bs):
@@ -345,13 +352,8 @@ def verify_trig(kind: int, n_max: int,
     grid = grids.trig_first if kind == 1 else grids.trig_second
     spec = grid(n_max, precision)
     key = "trig1" if kind == 1 else "trig2"
-    chain, xs = _oracle(spec)
-    jm = jacobi_from_chain(chain)
-    for n in range(n_max + 1):
-        bd, ud = families.legendre_dual_coeffs(key, n_max, n)
-        col.eq(f"b_{n}", jm.b[n], bd)
-        if n >= 1:
-            col.eq(f"u_{n}", jm.u[n - 1], ud)
+    chain, jm, xs = _oracle(spec)
+    col.matrix(jm, partial(families.legendre_dual_coeffs, key, n_max))
 
     pw = primal_weights(chain, xs)
     for s, w in enumerate(pw.weights):
@@ -371,23 +373,10 @@ def verify_trig(kind: int, n_max: int,
 def _aggregate(name: str, grid: str, n_max: int, parts) -> CheckReport:
     """Fold per-instance reports into one, keeping the worst status, the
     largest residual, the first witness and every note."""
-    status = EXACT
-    residual = None
-    witness = None
-    notes = []
+    col = _Collector()
     for part in parts:
-        if _STATUS_RANK[part.status] > _STATUS_RANK[status]:
-            status = part.status
-        if part.residual is not None:
-            if residual is None or part.residual > residual:
-                residual = part.residual
-        if witness is None and part.witness is not None:
-            label, oracle, cand = part.witness
-            witness = (f"{part.grid} N={part.n_max} {label}", oracle, cand)
-        for note in part.notes:
-            notes.append(f"{part.grid} N={part.n_max}: {note}")
-    return CheckReport(name, grid, n_max, status, residual, witness,
-                       tuple(notes))
+        col.fold(part)
+    return col.report(name, grid, n_max)
 
 
 def run_all(n_max: int, q_list=(Fraction(1, 2),),

@@ -3,7 +3,6 @@ and Stieltjes continued fractions for finite orthogonal systems."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,40 +153,24 @@ def dual_moments(nodes, k: int):
     return total / len(nodes)
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def _hankel_det(moments, start: int, size: int) -> Fraction:
-    rows = [[Fraction(moments[start + i + j]) for j in range(size)]
-            for i in range(size)]
-    denom = 1
-    for row in rows:
-        for e in row:
-            denom = denom * e.denominator // math.gcd(denom, e.denominator)
-    ints = [[int(e * denom) for e in row] for row in rows]
-    return Fraction(_bareiss_det(ints), denom**size)
+    """Determinant of (c_{start+i+j}), by exact Gaussian elimination."""
+    m = [[Fraction(moments[start + i + j]) for j in range(size)]
+         for i in range(size)]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, size):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, size):
+                m[i][j] -= f * m[k][j]
+    return det
 
 
 def hankel_tests(moments, n_max: int):

@@ -10,10 +10,12 @@ U_n = phi_n / phi_{n-1} for a solution phi of the transformed recurrence
 at the point a.  The Uvarov transform seeds phi with the second-kind
 solution F_n(a) = sum_s w_s P_n(x_s) / (a - x_s).
 
-Each transform returns the transformed matrix and its multipliers (V_n or
-U_n).  A transform fails where the spectral data it needs does not exist,
-so its errors are spectral errors: a node hit by the second-kind sum is
-the :class:`spectral.PoleHit` of the Stieltjes function it evaluates.
+Each transform runs one three-term recurrence at a for its multipliers
+(V_n or U_n), reads the transformed matrix off the Euclidean chain of the
+transformed top pair, and returns both.  A transform fails where the
+spectral data it needs does not exist, so its errors are spectral errors:
+a node hit by the second-kind sum is the :class:`spectral.PoleHit` of the
+Stieltjes function it evaluates.
 """
 
 from __future__ import annotations
@@ -40,14 +42,33 @@ class ZeroF(TransformError):
     """A second-kind value F_n(a) vanished."""
 
 
+def _ratios(jm: JacobiMatrix, a, phi0, phi1, fault):
+    """phi_{n+1} / phi_n for n = 0..N, where phi_0, phi_1 seed the
+    recurrence phi_{n+1} = (a - b_n) phi_n - u_n phi_{n-1} of jm; fault(n)
+    is the error raised when phi_n = 0."""
+    phis = [phi0, phi1]
+    for n in range(1, jm.n + 1):
+        phis.append((a - jm.b[n]) * phis[n] - jm.u[n - 1] * phis[n - 1])
+    for n in range(jm.n + 1):
+        if phis[n] == 0:
+            raise fault(n)
+    return tuple(phis[n + 1] / phis[n] for n in range(jm.n + 1))
+
+
+def _chain_matrix(name: str, a, p_top: Polynomial,
+                  p_next: Polynomial) -> JacobiMatrix:
+    """The Jacobi matrix of the Euclidean chain of a transformed top pair."""
+    try:
+        return jacobi_from_chain(build_chain(p_top, p_next))
+    except ChainError as exc:
+        raise TransformError(f"{name} transform at {a} has no Jacobi "
+                             f"matrix: {exc}") from exc
+
+
 def _christoffel_multipliers(jm: JacobiMatrix, a):
-    """P_0..P_{N+1} of jm and V_n = P_{n+1}(a) / P_n(a) for n = 0..N."""
-    polys = generate_polys(jm, jm.n + 1)
-    vals = [p(a) for p in polys]
-    for i, v in enumerate(vals[:-1]):
-        if v == 0:
-            raise PivotZero(f"P_{i}({a}) = 0")
-    return polys, tuple(vals[i + 1] / vals[i] for i in range(jm.n + 1))
+    """V_n = P_{n+1}(a) / P_n(a) for n = 0..N."""
+    return _ratios(jm, a, Fraction(1), a - jm.b[0],
+                   lambda n: PivotZero(f"P_{n}({a}) = 0"))
 
 
 def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, tuple]:
@@ -61,17 +82,13 @@ def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, tuple]:
     a cross-check (see :func:`christoffel_coefficients`).
     """
     nn = jm.n
-    polys, v_seq = _christoffel_multipliers(jm, a)
+    v_seq = _christoffel_multipliers(jm, a)
+    polys = generate_polys(jm, nn + 1)
     divisor = Polynomial((-Fraction(a), Fraction(1)))
     p_new, r = divmod(polys[nn + 1] - v_seq[nn] * polys[nn], divisor)
     if not r.is_zero:
         raise TransformError("quotient construction left a remainder")
-    try:
-        chain = build_chain(polys[nn + 1], p_new)
-    except ChainError as exc:
-        raise TransformError(f"Christoffel transform at {a} has no Jacobi "
-                             f"matrix: {exc}") from exc
-    return jacobi_from_chain(chain), v_seq
+    return _chain_matrix("Christoffel", a, polys[nn + 1], p_new), v_seq
 
 
 def christoffel_coefficients(jm: JacobiMatrix, a):
@@ -81,7 +98,7 @@ def christoffel_coefficients(jm: JacobiMatrix, a):
     data beyond the truncation and is left to the polynomial route.
     """
     nn = jm.n
-    _, v_seq = _christoffel_multipliers(jm, a)
+    v_seq = _christoffel_multipliers(jm, a)
     b = tuple(jm.b[n + 1] + v_seq[n + 1] - v_seq[n] for n in range(nn))
     u = tuple(jm.u[n - 1] * v_seq[n] / v_seq[n - 1] for n in range(1, nn + 1))
     return b, u
@@ -92,29 +109,15 @@ def geronimus(jm: JacobiMatrix, a, phi0, phi1) -> tuple[JacobiMatrix, tuple]:
 
     phi is extended by phi_{n+1} = (a - b_n) phi_n - u_n phi_{n-1}; only
     the ratio phi_1/phi_0 matters.  Returns the matrix of the polynomials
-    P_n = P~_n - (phi_n/phi_{n-1}) P~_{n-1} and U_1..U_{N+1}.
+    P_n = P~_n - U_n P~_{n-1}, U_n = phi_n/phi_{n-1}, read from the
+    Euclidean chain of its top pair (P_{N+1}, P_N), and U_1..U_{N+1}.
     """
     nn = jm.n
-    if phi0 == 0:
-        raise ZeroPhi("phi_0 = 0")
-    phis = [phi0, phi1]
-    for n in range(1, nn + 1):
-        phis.append((a - jm.b[n]) * phis[n] - jm.u[n - 1] * phis[n - 1])
-    u_seq = []
-    for n in range(1, nn + 2):
-        if phis[n - 1] == 0:
-            raise ZeroPhi(f"phi_{n - 1} = 0")
-        u_seq.append(phis[n] / phis[n - 1])
-    b = []
-    u = []
-    for n in range(nn + 1):
-        prev = u_seq[n - 1] if n >= 1 else Fraction(0)
-        b.append(jm.b[n] + u_seq[n] - prev)
-    if nn >= 1:
-        u.append(u_seq[0] * (a - jm.b[0] - u_seq[0]))
-        for n in range(2, nn + 1):
-            u.append(jm.u[n - 2] * u_seq[n - 1] / u_seq[n - 2])
-    return JacobiMatrix(tuple(b), tuple(u)), tuple(u_seq)
+    u_seq = _ratios(jm, a, phi0, phi1, lambda n: ZeroPhi(f"phi_{n} = 0"))
+    tilde = generate_polys(jm, nn + 1)
+    top = tilde[nn + 1] - u_seq[nn] * tilde[nn]
+    nxt = tilde[nn] - u_seq[nn - 1] * tilde[nn - 1] if nn else tilde[0]
+    return _chain_matrix("Geronimus", a, top, nxt), u_seq
 
 
 def second_kind_values(jm: JacobiMatrix, spectral: SpectralData, a, upto: int):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sturmion.chain import (
     ChainError,
@@ -140,3 +141,55 @@ def test_random_intervals_match_direct_count():
         a, b = min(a, b), max(a, b)
         direct = sum(1 for r in roots if a < r <= b)
         assert count_from_chain(chain, a, b) == direct
+
+
+def _above(t, centre, d, sign) -> bool:
+    """Whether centre + sign*sqrt(d) > t, decided exactly."""
+    gap = t - centre
+    if sign > 0:
+        return gap < 0 or gap * gap < d
+    return gap < 0 and gap * gap > d
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+factors = st.lists(
+    st.tuples(st.sampled_from(("real", "irrational", "complex")),
+              small, st.sampled_from((2, 3, 5, 6, 7)),
+              st.integers(1, 3)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors, st.sampled_from((1, -1, Fraction(3, 2), Fraction(-1, 3))),
+       small, small, st.booleans(), st.data())
+def test_count_roots_is_the_number_of_distinct_real_roots(
+        fs, lead, lo, hi, on_root, data):
+    # a product of linear factors x - a and quadratics (x - a)^2 - d
+    # (irrational roots) or (x - a)^2 + d (complex roots), each to a power
+    p = Polynomial.constant(Fraction(lead))
+    x = Polynomial.x()
+    rational, irrational = set(), set()
+    for kind, a, d, power in fs:
+        shift = x - Polynomial.constant(a)
+        if kind == "real":
+            factor = shift
+            rational.add(a)
+        else:
+            sign = 1 if kind == "complex" else -1
+            factor = shift * shift + Polynomial.constant(Fraction(sign * d))
+            if kind == "irrational":
+                irrational.add((a, d))
+        for _ in range(power):
+            p = p * factor
+    if on_root and rational:
+        # put a root on an endpoint
+        root = data.draw(st.sampled_from(sorted(rational)))
+        lo, hi = (root, max(hi, root + 1)) if data.draw(st.booleans()) \
+            else (min(lo, root - 1), root)
+    if lo == hi:
+        return
+    lo, hi = min(lo, hi), max(lo, hi)
+    direct = sum(lo < r <= hi for r in rational)
+    direct += sum(_above(lo, a, d, sign) and not _above(hi, a, d, sign)
+                  for a, d in irrational for sign in (1, -1))
+    assert count_roots(p, lo, hi) == direct

@@ -130,9 +130,15 @@ def test_chain_closed_output_pipe_ends_quietly():
 
 
 def test_chain_degenerate_grid_exit_3():
-    # x_s = (1/2)^s is decreasing, so the node list is rejected
+    # x_s = (1/2)^s decreases: distinct nodes, listed sorted
     proc = run_cli("chain", "--grid", "aw:q=1/2,c1=1,c2=0,c0=0", "--n", "3")
+    assert proc.returncode == 0
+    nodes = json.loads(proc.stdout)["payload"]["nodes"]
+    assert nodes == ["1/8", "1/4", "1/2", "1"]
+    # x_s = 2^s + 2^(1-s): 3, 3, 9/2, 33/4 repeats the node 3
+    proc = run_cli("chain", "--grid", "aw:q=2,c1=1,c2=2,c0=0", "--n", "3")
     assert proc.returncode == 3
+    assert "grid node 3 is repeated" in proc.stderr
 
 
 def test_chain_bannai_ito_nodes_sorted():
@@ -177,9 +183,23 @@ def test_count_root_at_left_endpoint_excluded():
     assert json.loads(proc.stdout)["payload"]["count"] == 2
 
 
-def test_count_complex_roots_exit_4():
+def test_count_complex_roots_not_counted():
     proc = run_cli("count", "--poly", "x^2+1", "--lo", "-1", "--hi", "1")
-    assert proc.returncode == 4
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["payload"]["count"] == 0
+
+
+@pytest.mark.parametrize("poly, lo, hi, count", [
+    ("x^3+x", "-1", "1", 1),          # one real root, two complex
+    ("x^3-2x^2+x", "-1", "2", 2),     # the root 1 is double
+    ("x^4-1", "-2", "2", 2),
+    ("x^2", "-1", "1", 1),
+    ("x^2", "0", "1", 0),             # the double root sits on lo
+    ("x^3-2x^2+x", "0", "1", 1),      # the double root sits on hi
+])
+def test_count_distinct_real_roots(capsys, poly, lo, hi, count):
+    assert cli.main(["count", "--poly", poly, "--lo", lo, "--hi", hi]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["count"] == count
 
 
 def test_count_bad_interval_exit_2():
@@ -254,6 +274,8 @@ def test_parse_error_names_the_value(argv, quoted):
     (("count", "--poly", "x^2-1/4", "--lo", "-1", "--hi", "-1/2"), 0,
      '"count": 1'),
     (("verify", "--q", "-1/2"), 2, "needs 0 < q < 1, got -1/2"),
+    (("count", "--poly", "-x^2+1", "--lo", "-2", "--hi", "2"), 0,
+     '"count": 2'),
 ])
 def test_negative_rational_is_a_value(argv, code, expected):
     proc = run_cli(*argv)

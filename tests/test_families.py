@@ -17,16 +17,6 @@ def oracle(spec):
     return jacobi_from_chain(chain)
 
 
-def family_arrays(fam, n_max):
-    b, u = [], []
-    for n in range(n_max + 1):
-        bn, un = fam.recurrence(n)
-        b.append(bn)
-        if n >= 1:
-            u.append(un)
-    return tuple(b), tuple(u)
-
-
 def test_pochhammer():
     assert families.poch(Fraction(3), 4) == 3 * 4 * 5 * 6
     assert families.poch(Fraction(-2), 3) == 0
@@ -43,9 +33,9 @@ def test_q_pochhammer():
 
 def test_hahn_anchor_coefficients():
     fam = families.Hahn(Fraction(-3), Fraction(-3), 2)
-    b, u = family_arrays(fam, 2)
-    assert b == (Fraction(1), Fraction(1), Fraction(1))
-    assert u == (Fraction(1, 3), Fraction(2, 3))
+    jm = families.jacobi_matrix(fam, 2)
+    assert jm.b == (Fraction(1), Fraction(1), Fraction(1))
+    assert jm.u == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_hahn_mirror_parameter_map():
@@ -53,17 +43,14 @@ def test_hahn_mirror_parameter_map():
     for n_max in range(1, 8):
         direct = oracle(grids.linear(n_max))
         zero = families.Hahn(Fraction(0), Fraction(0), n_max)
-        b, u = family_arrays(zero, n_max)
-        dual = mirror_dual(direct)
-        assert dual.b == b
-        assert dual.u == u
+        assert mirror_dual(direct) == families.jacobi_matrix(zero, n_max)
 
 
 def test_racah_anchor_coefficients():
     fam = families.Racah(Fraction(-5, 2), Fraction(1, 2), Fraction(-1, 2), 2)
-    b, u = family_arrays(fam, 2)
-    assert b == (Fraction(12, 7), Fraction(76, 21), Fraction(8, 3))
-    assert u == (Fraction(108, 49), Fraction(56, 9))
+    jm = families.jacobi_matrix(fam, 2)
+    assert jm.b == (Fraction(12, 7), Fraction(76, 21), Fraction(8, 3))
+    assert jm.u == (Fraction(108, 49), Fraction(56, 9))
 
 
 def test_racah_matches_oracle_both_sides():
@@ -71,10 +58,9 @@ def test_racah_matches_oracle_both_sides():
         jm = oracle(grids.quadratic(Fraction(1), n_max))
         half = Fraction(1, 2)
         sturm = families.Racah(-n_max - half, half, -half, n_max)
-        assert family_arrays(sturm, n_max) == (jm.b, jm.u)
+        assert families.jacobi_matrix(sturm, n_max) == jm
         dual = families.Racah(n_max + half, -half, half, n_max)
-        assert family_arrays(dual, n_max) == \
-            (mirror_dual(jm).b, mirror_dual(jm).u)
+        assert families.jacobi_matrix(dual, n_max) == mirror_dual(jm)
 
 
 def test_racah_mirror_parameter_map():
@@ -83,21 +69,21 @@ def test_racah_mirror_parameter_map():
     mirrored = families.Racah(Fraction(5, 2), Fraction(-1, 2), Fraction(1, 2), 2)
     jm = jacobi_from_chain(build_chain(*sturmian_pair(
         grids.characteristic_polynomial(grids.quadratic(Fraction(1), 2)))))
-    assert family_arrays(fam, 2) == (jm.b, jm.u)
-    assert family_arrays(mirrored, 2) == \
-        (mirror_dual(jm).b, mirror_dual(jm).u)
+    assert families.jacobi_matrix(fam, 2) == jm
+    assert families.jacobi_matrix(mirrored, 2) == mirror_dual(jm)
 
 
 def test_racah_nodes_and_mass():
     fam = families.Racah(Fraction(5, 2), Fraction(-1, 2), Fraction(1, 2), 2)
     assert [fam.node(s) for s in range(3)] == [0, 2, 6]
+    assert fam.mass() == 3
 
 
 def test_qhahn_anchor_coefficients():
     fam = families.QHahn(Fraction(4), Fraction(4), Fraction(1, 2), 1)
-    b, u = family_arrays(fam, 1)
-    assert b == (Fraction(4, 3), Fraction(5, 3))
-    assert u == (Fraction(2, 9),)
+    jm = families.jacobi_matrix(fam, 1)
+    assert jm.b == (Fraction(4, 3), Fraction(5, 3))
+    assert jm.u == (Fraction(2, 9),)
 
 
 def test_qhahn_nodes():
@@ -159,7 +145,7 @@ def test_chebyshev_derivative_relations():
 def test_denominator_zero_reported_with_index():
     with pytest.raises(families.FamilyError):
         fam = families.Hahn(Fraction(-1), Fraction(0), 2)
-        family_arrays(fam, 2)
+        families.jacobi_matrix(fam, 2)
 
 
 def test_racah_case_two_limit():

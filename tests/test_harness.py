@@ -126,3 +126,30 @@ def test_report_witness_on_forced_mismatch():
     d = rep.to_dict()
     assert d["witness"]["oracle"] == "1"
     assert d["witness"]["candidate"] == "2"
+
+
+def test_aggregate_keeps_worst_status_residual_witness_and_notes():
+    def part(status, n, residual=None, witness=None, notes=()):
+        return harness.CheckReport("demo", "exp:q=1/2", n, status,
+                                   residual, witness, notes)
+
+    exact = part(harness.EXACT, 1, notes=("agrees",))
+    close = part(harness.TOLERANCE, 2, residual=Fraction(1, 2**210))
+    closer = part(harness.TOLERANCE, 3, residual=Fraction(1, 2**220))
+    skipped = part(harness.SKIPPED, 4, notes=("skipped: pole",))
+    first = part(harness.MISMATCH, 5, witness=("b_1", Fraction(1), Fraction(2)))
+    second = part(harness.MISMATCH, 6, witness=("u_1", Fraction(3), Fraction(4)))
+
+    def fold(*parts):
+        return harness._aggregate("demo", "exp", 6, parts)
+
+    assert fold(exact).status == harness.EXACT
+    assert fold(exact, close).status == harness.TOLERANCE
+    assert fold(close, skipped, closer).status == harness.SKIPPED
+    rep = fold(exact, closer, second, skipped, close, first)
+    assert rep.status == harness.MISMATCH
+    assert rep.residual == Fraction(1, 2**210)
+    assert rep.witness == ("exp:q=1/2 N=6 u_1", Fraction(3), Fraction(4))
+    assert rep.notes == ("exp:q=1/2 N=1: agrees",
+                         "exp:q=1/2 N=4: skipped: pole")
+    assert fold(exact).residual is None

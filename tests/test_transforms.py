@@ -105,6 +105,31 @@ def test_geronimus_zero_phi_rejected():
         transforms.geronimus(res, Fraction(0), Fraction(0), Fraction(0))
 
 
+def test_geronimus_without_positive_matrix_is_a_transform_error():
+    # P_1 = x - 4/3 - 1 and P_2 = P~_2 - P~_1 give u_1 = -7/3
+    with pytest.raises(transforms.TransformError,
+                       match="Geronimus transform at 0 has no Jacobi matrix"):
+        transforms.geronimus(QHAHN_ANCHOR, Fraction(0), Fraction(1),
+                             Fraction(1))
+
+
+def test_geronimus_one_point():
+    # N = 0: P_1 = P~_1 - U_1 P~_0 = x - b~_0 - U_1
+    jm = JacobiMatrix((Fraction(2),), ())
+    res, us = transforms.geronimus(jm, Fraction(0), Fraction(2), Fraction(3))
+    assert res == JacobiMatrix((Fraction(7, 2),), ())
+    assert us == (Fraction(3, 2),)
+
+
+def test_uvarov_one_point():
+    # F_0(0) = 1/(0 - 1/2) and F_1(0) = 0: the node stays where it is
+    jm = JacobiMatrix((Fraction(1, 2),), ())
+    sd = SpectralData((Fraction(1, 2),), (Fraction(1),))
+    res, us = transforms.uvarov(jm, sd, Fraction(0))
+    assert res == jm
+    assert us == (Fraction(0),)
+
+
 def test_second_kind_values_match_direct_sums():
     nodes = (Fraction(1), Fraction(2), Fraction(4))
     chain = build_chain(*sturmian_pair(Polynomial.from_roots(nodes)))
