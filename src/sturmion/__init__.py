@@ -2,8 +2,7 @@
 
 from .poly import Polynomial
 from .scalars import BigFloat, DEFAULT_PRECISION
-from .chain import (SturmChain, build_chain, count_roots, interlaces,
-                    sturmian_pair)
+from .chain import SturmChain, build_chain, count_roots, sturmian_pair
 from .spectral import (JacobiMatrix, SpectralData, dual_moments, dual_weights,
                        generate_polys, hankel_tests, jacobi_from_chain,
                        mirror_dual, primal_weights, stieltjes_fraction)
@@ -14,6 +13,6 @@ __all__ = [
     "BigFloat", "DEFAULT_PRECISION", "JacobiMatrix", "Polynomial",
     "SpectralData", "SturmChain", "build_chain", "count_roots",
     "dual_moments", "dual_weights", "generate_polys", "hankel_tests",
-    "interlaces", "jacobi_from_chain", "mirror_dual", "primal_weights",
+    "jacobi_from_chain", "mirror_dual", "primal_weights",
     "stieltjes_fraction", "sturmian_pair", "__version__",
 ]

@@ -141,18 +141,3 @@ def count_roots(p: Polynomial, a, b) -> int:
     # a general Sturm sequence has no (b, u); sign variations read only
     # its polynomials
     return count_from_chain(SturmChain(tuple(seq), (), ()), a, b)
-
-
-def interlaces(p: Polynomial, q: Polynomial) -> bool:
-    """True iff the zeros of q strictly interlace those of p.
-
-    Equivalent to the Euclidean chain of (p, q) existing with all u_n > 0,
-    which is exactly what build_chain verifies.
-    """
-    if q.degree != p.degree - 1:
-        raise ValueError("degrees must be consecutive")
-    try:
-        build_chain(p, q)
-    except (ChainError, ZeroDivisionError):
-        return False
-    return True

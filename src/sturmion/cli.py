@@ -3,7 +3,8 @@ in an interval, and run the verification suite, with machine-readable output.
 
 Exit codes: 0 success, also when the reader closes the output pipe early;
 1 unexpected verification mismatch; 2 input parse error, including a bad
-grid option and a STURMION_PRECISION that is not a whole number of bits;
+grid option and a precision (--precision or STURMION_PRECISION) that is not
+a whole number of bits or is below 64 bits, on every command;
 3 degenerate grid; 4 chain or weight failure (e.g. a node that is not a
 root of the characteristic polynomial, or a weight that is not positive at
 the working precision)."""
@@ -22,7 +23,8 @@ from fractions import Fraction
 from . import __version__, grids, harness
 from .chain import ChainError, build_chain, count_roots, sturmian_pair
 from .poly import Polynomial
-from .scalars import DEFAULT_PRECISION, parse_rational, scalar_json
+from .scalars import (DEFAULT_PRECISION, MIN_PRECISION, parse_rational,
+                      scalar_json)
 from .spectral import SpectralError, dual_weights, primal_weights
 
 EXIT_OK = 0
@@ -145,7 +147,7 @@ def cmd_count(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     q_list = tuple(parse_rational(q) for q in args.q) or (Fraction(1, 2),)
-    reports = harness.run_all(args.nmax, q_list, args.precision)
+    reports = harness.run_all(args.nmax, q_list)
     inputs = {"nmax": args.nmax, "q": [str(q) for q in args.q],
               "precision": args.precision}
     payload = [r.to_dict() for r in reports]
@@ -226,6 +228,10 @@ def main(argv=None) -> int:
         args.precision = _default_precision(parser)
     if args.format == "csv" and args.command != "chain":
         parser.error(f"--format csv is only for chain, not {args.command}")
+    if args.precision < MIN_PRECISION:
+        print(f"error: precision must be >= {MIN_PRECISION} bits, "
+              f"got {args.precision}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()

@@ -1,9 +1,10 @@
 """Proposition-by-proposition verification: the Euclidean chain built from
 each grid's characteristic polynomial is the ground truth, and every printed
-closed form is checked against it, exactly on rational grids and on
-trigonometric ones to a tolerance that follows the working precision
-(:func:`scalars.tolerance`).  Mismatches are reported with the first
-differing index and never auto-corrected."""
+closed form is checked against it exactly.  A law on the grid nodes is
+checked as a polynomial identity modulo the characteristic polynomial
+P_{N+1}, whose simple roots are exactly the nodes, so no check reads a
+floating node.  Mismatches are reported with the first differing index and
+never auto-corrected."""
 
 from __future__ import annotations
 
@@ -14,17 +15,10 @@ from functools import partial
 from . import families, grids, transforms
 from .chain import build_chain, sturmian_pair
 from .poly import Polynomial
-from .scalars import (
-    DEFAULT_PRECISION,
-    scalar_str,
-    sin_pi,
-    to_fraction,
-    tolerance,
-)
+from .scalars import scalar_str
 from .spectral import (
     SpectralData,
     check_orthogonality,
-    dual_weights,
     generate_polys,
     jacobi_from_chain,
     mirror_dual,
@@ -32,26 +26,19 @@ from .spectral import (
 )
 
 EXACT = "exact_match"
-TOLERANCE = "within_tolerance"
 MISMATCH = "mismatch"
 SKIPPED = "skipped"
 
 
-def _fmt(x) -> str:
-    """Readable form of an exact or floating scalar for report fields."""
-    return scalar_str(to_fraction(x))
-
-
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification: a status, an optional worst residual,
-    and, on mismatch, a witness (label, oracle value, candidate value)."""
+    """Outcome of one verification: a status and, on mismatch, a witness
+    (label, oracle value, candidate value)."""
 
     name: str
     grid: str
     n_max: int
     status: str
-    residual: Fraction | None = None
     witness: tuple | None = None
     notes: tuple = ()
 
@@ -62,14 +49,12 @@ class CheckReport:
             "n_max": self.n_max,
             "status": self.status,
         }
-        if self.residual is not None:
-            d["residual"] = scalar_str(self.residual)
         if self.witness is not None:
             label, oracle, candidate = self.witness
             d["witness"] = {
                 "index": label,
-                "oracle": _fmt(oracle),
-                "candidate": _fmt(candidate),
+                "oracle": scalar_str(oracle),
+                "candidate": scalar_str(candidate),
             }
         if self.notes:
             d["notes"] = list(self.notes)
@@ -77,14 +62,12 @@ class CheckReport:
 
 
 class _Collector:
-    """Accumulates exact and toleranced comparisons, skips and folded
-    reports for one report; the status is the worst of them, in the order
-    mismatch, skipped, within tolerance, exact."""
+    """Accumulates exact comparisons, skips and folded reports for one
+    report; the status is the worst of them, in the order mismatch, skipped,
+    exact."""
 
     def __init__(self):
         self.witness = None
-        self.worst = Fraction(0)
-        self.toleranced = False
         self.skipped = False
         self.notes = []
 
@@ -101,14 +84,12 @@ class _Collector:
             if n >= 1:
                 self.eq(f"{prefix}u{star}_{n}", jm.u[n - 1], u)
 
-    def close(self, label: str, oracle, candidate):
-        self.toleranced = True
-        diff = abs(candidate - oracle)
-        res = to_fraction(diff)
-        if res > self.worst:
-            self.worst = res
-        if self.witness is None and res >= tolerance(diff.precision):
-            self.witness = (label, oracle, candidate)
+    def zero_mod(self, label: str, poly: Polynomial, char: Polynomial):
+        """Require poly to vanish on every root of the squarefree char, that
+        is poly = 0 modulo char; a nonzero remainder is compared with 0
+        coefficient by coefficient, as "{label}, x^k of the remainder"."""
+        for k, c in enumerate((poly % char).coeffs):
+            self.eq(f"{label}, x^{k} of the remainder", Fraction(0), c)
 
     def skip(self, exc: Exception):
         self.skipped = True
@@ -121,9 +102,6 @@ class _Collector:
         if self.witness is None and part.witness is not None:
             label, oracle, candidate = part.witness
             self.witness = (f"{where} {label}", oracle, candidate)
-        if part.residual is not None:
-            self.toleranced = True
-            self.worst = max(self.worst, part.residual)
         self.skipped |= part.status == SKIPPED
         self.notes += [f"{where}: {note}" for note in part.notes]
 
@@ -132,8 +110,6 @@ class _Collector:
             status = MISMATCH
         elif self.skipped:
             status = SKIPPED
-        elif self.toleranced:
-            status = TOLERANCE
         else:
             status = EXACT
         return CheckReport(
@@ -141,7 +117,6 @@ class _Collector:
             grid=grid,
             n_max=n_max,
             status=status,
-            residual=self.worst if self.toleranced else None,
             witness=self.witness,
             notes=tuple(self.notes),
         )
@@ -162,25 +137,17 @@ def _entries(jm):
 
 def _oracle(spec: grids.GridSpec):
     """Euclidean chain of the Sturmian pair of the grid's characteristic
-    polynomial, its Jacobi matrix and the grid nodes."""
-    char = grids.characteristic_polynomial(spec)
-    chain = build_chain(*sturmian_pair(char))
-    return chain, jacobi_from_chain(chain), grids.nodes(spec)
+    polynomial and its Jacobi matrix."""
+    chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
+    return chain, jacobi_from_chain(chain)
 
 
 def verify_legendre_duality(spec: grids.GridSpec) -> CheckReport:
-    """Dual weights of the Sturmian pair equal the constant 1/(N+1)."""
+    """Dual weights w*_s = P_N(x_s) / P'_{N+1}(x_s) of the Sturmian pair
+    equal the constant 1/(N+1): (N+1) P_N - P'_{N+1} = 0 modulo P_{N+1}."""
     col = _Collector()
-    dw = dual_weights(
-        *sturmian_pair(grids.characteristic_polynomial(spec)),
-        grids.nodes(spec))
-    target = Fraction(1, spec.n + 1)
-    trig = spec.kind in (grids.TRIG_FIRST, grids.TRIG_SECOND)
-    for s, w in enumerate(dw.weights):
-        if trig:
-            col.close(f"w*_{s}", target, w)
-        else:
-            col.eq(f"w*_{s}", target, w)
+    top, nxt = sturmian_pair(grids.characteristic_polynomial(spec))
+    col.zero_mod("w*_s", nxt * Fraction(spec.n + 1) - top.derivative(), top)
     return col.report("legendre_duality", _grid_label(spec), spec.n)
 
 
@@ -191,7 +158,8 @@ def verify_linear(n_max: int) -> CheckReport:
     satisfies the second-order difference equation."""
     col = _Collector()
     spec = grids.linear(n_max)
-    chain, jm, xs = _oracle(spec)
+    chain, jm = _oracle(spec)
+    xs = grids.nodes(spec)
     dual = mirror_dual(jm)
 
     direct = families.Hahn(Fraction(-n_max - 1), Fraction(-n_max - 1), n_max)
@@ -231,7 +199,7 @@ def verify_quadratic_tau1(n_max: int) -> CheckReport:
     dual b closed form is compared but only reported, never asserted."""
     col = _Collector()
     spec = grids.quadratic(Fraction(1), n_max)
-    _, jm, _ = _oracle(spec)
+    _, jm = _oracle(spec)
     dual = mirror_dual(jm)
 
     try:
@@ -270,7 +238,8 @@ def verify_quadratic_tau2(n_max: int) -> CheckReport:
     x_s + 1."""
     col = _Collector()
     spec = grids.quadratic(Fraction(2), n_max)
-    chain, jm, xs = _oracle(spec)
+    _, jm = _oracle(spec)
+    xs = grids.nodes(spec)
 
     try:
         fam = families.Racah(
@@ -312,7 +281,8 @@ def verify_exponential(q: Fraction, n_max: int) -> CheckReport:
     and the coefficient-level transform formulas reproduce the chain."""
     col = _Collector()
     spec = grids.exponential(q, n_max)
-    chain, jm, xs = _oracle(spec)
+    _, jm = _oracle(spec)
+    xs = grids.nodes(spec)
 
     try:
         big = Fraction(q) ** (-(n_max + 1))
@@ -341,30 +311,28 @@ def verify_exponential(q: Fraction, n_max: int) -> CheckReport:
     return col.report("exponential_qhahn", _grid_label(spec), n_max)
 
 
-def verify_trig(kind: int, n_max: int,
-                precision: int = DEFAULT_PRECISION) -> CheckReport:
+def verify_trig(kind: int, n_max: int) -> CheckReport:
     """Trigonometric grids: the chain coefficients follow the exact printed
-    closed forms, and the primal weights match the sine-power law at the
-    working precision."""
+    closed forms, and the primal weights w_s = h_N / (P'_{N+1}(x_s) P_N(x_s))
+    follow the sine-power law c sin(pi theta_s)^(2k) at x_s = -cos(pi theta_s),
+    where sin^2 = 1 - x_s^2: h_N - c (1 - x^2)^k P'_{N+1} P_N = 0 modulo
+    P_{N+1}, with c = 2/(N+1), k = 1 on trig1 and c = 8/(3(N+2)), k = 2 on
+    trig2."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     col = _Collector()
-    grid = grids.trig_first if kind == 1 else grids.trig_second
-    spec = grid(n_max, precision)
-    key = "trig1" if kind == 1 else "trig2"
-    chain, jm, xs = _oracle(spec)
-    col.matrix(jm, partial(families.legendre_dual_coeffs, key, n_max))
+    spec = (grids.trig_first if kind == 1 else grids.trig_second)(n_max)
+    chain, jm = _oracle(spec)
+    col.matrix(jm, partial(families.legendre_dual_coeffs, spec.kind, n_max))
 
-    pw = primal_weights(chain, xs)
-    for s, w in enumerate(pw.weights):
-        if kind == 1:
-            theta = Fraction(2 * s + 1, 2 * (n_max + 1))
-            target = Fraction(2, n_max + 1) * sin_pi(theta, spec.precision) ** 2
-        else:
-            theta = Fraction(s + 1, n_max + 2)
-            target = Fraction(8, 3 * (n_max + 2)) \
-                * sin_pi(theta, spec.precision) ** 4
-        col.close(f"w_{s}", target, w)
+    sin2 = Polynomial((Fraction(1), Fraction(0), Fraction(-1)))  # 1 - x^2
+    if kind == 1:
+        c, sin2k = Fraction(2, n_max + 1), sin2
+    else:
+        c, sin2k = Fraction(8, 3 * (n_max + 2)), sin2 * sin2
+    top, nxt = chain.polys[:2]
+    col.zero_mod("w_s", Polynomial.constant(chain.h_top)
+                 - sin2k * top.derivative() * nxt * c, top)
 
     return col.report(f"trig_{'first' if kind == 1 else 'second'}",
                       _grid_label(spec), n_max)
@@ -372,15 +340,14 @@ def verify_trig(kind: int, n_max: int,
 
 def _aggregate(name: str, grid: str, n_max: int, parts) -> CheckReport:
     """Fold per-instance reports into one, keeping the worst status, the
-    largest residual, the first witness and every note."""
+    first witness and every note."""
     col = _Collector()
     for part in parts:
         col.fold(part)
     return col.report(name, grid, n_max)
 
 
-def run_all(n_max: int, q_list=(Fraction(1, 2),),
-            precision: int = DEFAULT_PRECISION):
+def run_all(n_max: int, q_list=(Fraction(1, 2),)):
     """One aggregated report per verification family, in a fixed order."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -394,8 +361,8 @@ def run_all(n_max: int, q_list=(Fraction(1, 2),),
         duality_specs.append(grids.quadratic(Fraction(2), n))
         for q in q_list:
             duality_specs.append(grids.exponential(q, n))
-        duality_specs.append(grids.trig_first(n, precision))
-        duality_specs.append(grids.trig_second(n, precision))
+        duality_specs.append(grids.trig_first(n))
+        duality_specs.append(grids.trig_second(n))
 
     return [
         _aggregate("legendre_duality", "all", n_max,
@@ -409,7 +376,7 @@ def run_all(n_max: int, q_list=(Fraction(1, 2),),
         _aggregate("exponential_qhahn", "exp", n_max,
                    [verify_exponential(q, n) for q in q_list for n in ns]),
         _aggregate("trig_first", "trig1", n_max,
-                   [verify_trig(1, n, precision) for n in ns]),
+                   [verify_trig(1, n) for n in ns]),
         _aggregate("trig_second", "trig2", n_max,
-                   [verify_trig(2, n, precision) for n in ns]),
+                   [verify_trig(2, n) for n in ns]),
     ]

@@ -150,17 +150,6 @@ def round_scaled(num: int, den: int, shift: int, precision: int) -> BigFloat:
                               -shift), precision)
 
 
-def tolerance(precision: int) -> Fraction:
-    """Bound on |candidate - target| for a value carried at ``precision``
-    bits: 2**-floor(25*precision/32), which is 2**-200 at the default 256.
-
-    The remaining 7/32 of the bits absorb the conditioning of the weights
-    at nodes rounded to ``precision`` bits; polynomial values themselves
-    are within one ulp (:meth:`poly.Polynomial.__call__`).
-    """
-    return Fraction(1, 2 ** (25 * precision // 32))
-
-
 def cos_pi(t: Fraction, precision: int = DEFAULT_PRECISION) -> BigFloat:
     """cos(pi*t) for rational t, evaluated at the requested precision."""
     return _of_pi_times(mpf_cos_pi, t, precision)

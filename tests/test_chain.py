@@ -12,7 +12,6 @@ from sturmion.chain import (
     build_chain,
     count_from_chain,
     count_roots,
-    interlaces,
     sign_variations,
     sturmian_pair,
 )
@@ -108,12 +107,6 @@ def test_count_roots_root_at_left_endpoint():
     # monic T_3 has roots at +-sqrt(3)/2 and 0; only sqrt(3)/2 lies in (0, 1]
     t3 = Polynomial((Fraction(0), Fraction(-3, 4), Fraction(0), Fraction(1)))
     assert count_roots(t3, Fraction(0), Fraction(1)) == 1
-
-
-def test_interlaces():
-    p = grid_poly([0, 2])
-    assert interlaces(p, Polynomial((Fraction(-1), Fraction(1))))
-    assert not interlaces(p, Polynomial((Fraction(-3), Fraction(1))))
 
 
 def test_total_count_equals_degree():

@@ -212,8 +212,16 @@ def test_verify_minimal():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert len(doc["payload"]) == 7
-    assert all(r["status"] in ("exact_match", "within_tolerance")
-               for r in doc["payload"])
+    assert all(r["status"] == "exact_match" for r in doc["payload"])
+
+
+def test_verify_payload_does_not_depend_on_precision(capsys):
+    payloads = []
+    for bits in ("64", "128", "256", "512"):
+        assert cli.main(["--precision", bits, "verify", "--nmax", "4",
+                         "--q", "1/2"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    assert all(p == payloads[0] for p in payloads)
 
 
 @pytest.mark.parametrize("precision, nmax", [("128", "4"), ("64", "3")])
@@ -281,6 +289,24 @@ def test_negative_rational_is_a_value(argv, code, expected):
     proc = run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert expected in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv, env_bits", [
+    (("--precision", "10", "verify", "--nmax", "1"), None),
+    (("--precision", "10", "count", "--poly", "x", "--lo", "-1", "--hi", "1"),
+     None),
+    (("--precision", "10", "chain", "--grid", "linear", "--n", "3"), None),
+    (("chain", "--grid", "linear", "--n", "3"), "10"),
+])
+def test_precision_below_minimum_exit_2_on_every_command(argv, env_bits):
+    import os
+    env = dict(os.environ)
+    if env_bits is not None:
+        env["STURMION_PRECISION"] = env_bits
+    proc = run_cli(*argv, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: precision must be >= 64 bits, got 10\n"
 
 
 def test_precision_env_invalid_exit_2():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sturmion import cli, grids, harness, transforms
-from sturmion.scalars import BigFloat
+from sturmion import cli, grids, harness, scalars, transforms
+from sturmion.chain import build_chain, sturmian_pair
+from sturmion.poly import Polynomial
 from sturmion.spectral import PoleHit
 
 
@@ -16,13 +17,13 @@ def test_duality_exact_on_rational_grids():
                  grids.exponential(Fraction(1, 2), 1)):
         rep = harness.verify_legendre_duality(spec)
         assert rep.status == harness.EXACT
-        assert rep.residual is None
 
 
-def test_duality_toleranced_on_trig_grids():
-    rep = harness.verify_legendre_duality(grids.trig_first(4))
-    assert rep.status == harness.TOLERANCE
-    assert rep.residual < Fraction(1, 2**200)
+def test_duality_exact_on_trig_grids():
+    for spec in (grids.trig_first(4), grids.trig_second(4)):
+        rep = harness.verify_legendre_duality(spec)
+        assert rep.status == harness.EXACT
+        assert rep.witness is None
 
 
 def test_linear_report():
@@ -58,15 +59,36 @@ def test_exponential_report():
 def test_trig_reports():
     for kind in (1, 2):
         rep = harness.verify_trig(kind, 3)
-        assert rep.status == harness.TOLERANCE
-        assert rep.residual < Fraction(1, 2**200)
+        assert rep.status == harness.EXACT
+        assert rep.witness is None
 
 
-def test_tolerance_still_catches_a_coarse_residual():
-    # 2^-64 is far above what a 128-bit value should carry
+def _sine_law_report(grid, n, c, k):
+    """The trig weight law h_N - c (1 - x^2)^k P'_{N+1} P_N modulo P_{N+1},
+    compared with zero by the collector that verify_trig uses."""
+    chain = build_chain(*sturmian_pair(
+        grids.characteristic_polynomial(grid(n))))
+    top, nxt = chain.polys[:2]
+    law = top.derivative() * nxt * c
+    for _ in range(k):
+        law = law * Polynomial((Fraction(1), Fraction(0), Fraction(-1)))
     col = harness._Collector()
-    col.close("w_0", Fraction(0), BigFloat(Fraction(1, 2**64), 128))
-    assert col.report("demo", "trig1", 1).status == harness.MISMATCH
+    col.zero_mod("w_s", Polynomial.constant(chain.h_top) - law, top)
+    return col.report("demo", grid(n).kind, n)
+
+
+def test_sine_law_catches_a_wrong_constant_or_power():
+    for grid, c, k in ((grids.trig_first, Fraction(2, 6), 1),
+                       (grids.trig_second, Fraction(8, 21), 2)):
+        assert _sine_law_report(grid, 5, c, k).status == harness.EXACT
+    rep = _sine_law_report(grids.trig_first, 5, Fraction(2, 7), 1)
+    assert rep.status == harness.MISMATCH
+    # the remainder is the constant h_5 / 7 = (1/512) / 7
+    assert rep.witness == ("w_s, x^0 of the remainder", 0,
+                           Fraction(1, 3584))
+    rep = _sine_law_report(grids.trig_second, 5, Fraction(8, 21), 1)
+    assert rep.status == harness.MISMATCH
+    assert rep.witness[1] == 0 and rep.witness[2] != 0
 
 
 def test_exponential_transform_failure_is_skipped(monkeypatch):
@@ -92,15 +114,20 @@ def test_run_all_minimal_shape():
         "quadratic_tau2_christoffel", "exponential_qhahn",
         "trig_first", "trig_second"]
     for r in reports:
-        assert r.status in (harness.EXACT, harness.TOLERANCE)
+        assert r.status == harness.EXACT
 
 
-def test_run_all_checks_trig_at_the_given_precision():
-    reports = {r.name: r for r in harness.run_all(3, precision=64)}
-    for name in ("trig_first", "trig_second"):
-        assert reports[name].status == harness.TOLERANCE
-        assert Fraction(1, 2**100) < reports[name].residual \
-            < Fraction(1, 2**50)
+def test_run_all_makes_no_bigfloat(monkeypatch):
+    made = []
+    init = scalars.BigFloat.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scalars.BigFloat, "__init__", counting_init)
+    harness.run_all(4)
+    assert made == []
 
 
 def test_run_all_rejects_bad_nmax():
@@ -128,14 +155,12 @@ def test_report_witness_on_forced_mismatch():
     assert d["witness"]["candidate"] == "2"
 
 
-def test_aggregate_keeps_worst_status_residual_witness_and_notes():
-    def part(status, n, residual=None, witness=None, notes=()):
+def test_aggregate_keeps_worst_status_witness_and_notes():
+    def part(status, n, witness=None, notes=()):
         return harness.CheckReport("demo", "exp:q=1/2", n, status,
-                                   residual, witness, notes)
+                                   witness, notes)
 
     exact = part(harness.EXACT, 1, notes=("agrees",))
-    close = part(harness.TOLERANCE, 2, residual=Fraction(1, 2**210))
-    closer = part(harness.TOLERANCE, 3, residual=Fraction(1, 2**220))
     skipped = part(harness.SKIPPED, 4, notes=("skipped: pole",))
     first = part(harness.MISMATCH, 5, witness=("b_1", Fraction(1), Fraction(2)))
     second = part(harness.MISMATCH, 6, witness=("u_1", Fraction(3), Fraction(4)))
@@ -144,12 +169,9 @@ def test_aggregate_keeps_worst_status_residual_witness_and_notes():
         return harness._aggregate("demo", "exp", 6, parts)
 
     assert fold(exact).status == harness.EXACT
-    assert fold(exact, close).status == harness.TOLERANCE
-    assert fold(close, skipped, closer).status == harness.SKIPPED
-    rep = fold(exact, closer, second, skipped, close, first)
+    assert fold(exact, skipped, exact).status == harness.SKIPPED
+    rep = fold(exact, second, skipped, first)
     assert rep.status == harness.MISMATCH
-    assert rep.residual == Fraction(1, 2**210)
     assert rep.witness == ("exp:q=1/2 N=6 u_1", Fraction(3), Fraction(4))
     assert rep.notes == ("exp:q=1/2 N=1: agrees",
                          "exp:q=1/2 N=4: skipped: pole")
-    assert fold(exact).residual is None

@@ -17,7 +17,6 @@ from sturmion.scalars import (
     scalar_str,
     sin_pi,
     to_fraction,
-    tolerance,
 )
 
 
@@ -63,11 +62,6 @@ def test_rational_comparisons_are_exact():
     assert not tenth < Fraction(1, 10)
     assert tenth != Fraction(1, 10)
     assert tenth == to_fraction(tenth)
-
-
-def test_tolerance_follows_precision():
-    assert tolerance(256) == Fraction(1, 2**200)
-    assert tolerance(512) < tolerance(256) < tolerance(128) < tolerance(64)
 
 
 def test_is_exact_and_promote():
