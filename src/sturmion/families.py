@@ -2,9 +2,9 @@
 q-Hahn, Chebyshev T/U and ultraspherical.
 
 All recurrence coefficients are in monic form and all weights are exact
-rationals.  The truncation index n = N is handled by the convention
-A_N = 0 (the (N - n) factor wins the 0/0 against a vanishing denominator
-for the parameter sets used here), and likewise C_0 = 0 via its n factor.
+rationals.  Hahn, Racah and q-Hahn give only their closed-form A_n and C_n
+and the affine map from A_n + C_n to b_n; one sweep, `_askey_table`, turns
+these into the family's (b_n, u_n) and states the truncation convention.
 """
 
 from __future__ import annotations
@@ -59,6 +59,32 @@ def _checked_div(num, den, family, index):
     return num / den
 
 
+def _askey_table(fam, b_of) -> None:
+    """Store on fam its monic (b_n, u_n), n = 0..N, with b_n = b_of(A_n + C_n)
+    and u_n = A_{n-1} C_n (u_0 is None), evaluating each A_n and C_n once
+    from the (numerator, denominator) that fam._a and fam._c give.
+
+    The truncation convention: A_N = 0 and C_0 = 0, since the (N - n) and n
+    factors win the 0/0 against a vanishing denominator for the parameter
+    sets used here (Koekoek, Lesky & Swarttouw 2010, ch. 9 and 14).
+    """
+    family, nn = type(fam).__name__, fam.n_max
+    table, a_prev = [], None
+    for n in range(nn + 1):
+        a = (_checked_div(*fam._a(n), family, f"A_{n}") if n < nn
+             else Fraction(0))
+        c = _checked_div(*fam._c(n), family, f"C_{n}") if n else Fraction(0)
+        table.append((b_of(a + c), a_prev * c if n else None))
+        a_prev = a
+    object.__setattr__(fam, "_table", tuple(table))
+
+
+def _table_entry(fam, n: int):
+    if not 0 <= n <= fam.n_max:
+        raise ValueError("index out of range")
+    return fam._table[n]
+
+
 # ---------------------------------------------------------------------------
 # Hahn
 # ---------------------------------------------------------------------------
@@ -74,30 +100,23 @@ class Hahn:
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
-        for n in range(self.n_max + 1):
-            self.recurrence(n)
+        _askey_table(self, lambda a_plus_c: a_plus_c)
 
-    def _a(self, n: int) -> Fraction:
-        if n == self.n_max:
-            return Fraction(0)
+    def _a(self, n: int):
         al, be = self.alpha, self.beta
         num = (n + al + be + 1) * (n + al + 1) * (self.n_max - n)
         den = (2 * n + al + be + 1) * (2 * n + al + be + 2)
-        return _checked_div(num, den, "Hahn", f"A_{n}")
+        return num, den
 
-    def _c(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(0)
+    def _c(self, n: int):
         al, be = self.alpha, self.beta
         num = n * (n + al + be + self.n_max + 1) * (n + be)
         den = (2 * n + al + be + 1) * (2 * n + al + be)
-        return _checked_div(num, den, "Hahn", f"C_{n}")
+        return num, den
 
     def recurrence(self, n: int):
-        """(b_n, u_n): b_n = A_n + C_n, u_n = A_{n-1} C_n (u_0 undefined)."""
-        b = self._a(n) + self._c(n)
-        u = self._a(n - 1) * self._c(n) if n >= 1 else None
-        return b, u
+        """(b_n, u_n) for 0 <= n <= N, with b_n = A_n + C_n."""
+        return _table_entry(self, n)
 
 
 # ---------------------------------------------------------------------------
@@ -116,33 +135,26 @@ class Racah:
     def __post_init__(self):
         for name in ("beta", "gamma", "delta"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        for n in range(self.n_max + 1):
-            self.recurrence(n)
+        _askey_table(self, lambda a_plus_c: -a_plus_c)
 
     def node(self, s: int) -> Fraction:
         return s * (s + self.gamma + self.delta + 1)
 
-    def _a(self, n: int) -> Fraction:
-        if n == self.n_max:
-            return Fraction(0)
+    def _a(self, n: int):
         be, ga, de, nn = self.beta, self.gamma, self.delta, self.n_max
         num = (n + be - nn) * (n + be + de + 1) * (n + ga + 1) * (n - nn)
         den = (2 * n + be - nn) * (2 * n + be - nn + 1)
-        return _checked_div(num, den, "Racah", f"A_{n}")
+        return num, den
 
-    def _c(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(0)
+    def _c(self, n: int):
         be, ga, de, nn = self.beta, self.gamma, self.delta, self.n_max
         num = n * (n + be) * (n + be - ga - nn - 1) * (n - de - nn - 1)
         den = (2 * n + be - nn) * (2 * n + be - nn - 1)
-        return _checked_div(num, den, "Racah", f"C_{n}")
+        return num, den
 
     def recurrence(self, n: int):
-        """(b_n, u_n): b_n = -A_n - C_n, u_n = A_{n-1} C_n."""
-        b = -self._a(n) - self._c(n)
-        u = self._a(n - 1) * self._c(n) if n >= 1 else None
-        return b, u
+        """(b_n, u_n) for 0 <= n <= N, with b_n = -A_n - C_n."""
+        return _table_entry(self, n)
 
     def mass(self) -> Fraction:
         be, ga, de, nn = self.beta, self.gamma, self.delta, self.n_max
@@ -163,10 +175,7 @@ class Racah:
             den = (Fraction(_factorial(s)) * poch(ga + de + 2 + nn, s)
                    * poch(-be + ga + 1, s) * poch(de + 1, s)
                    * poch((ga + de + 1) / 2, s))
-            w = _checked_div(num, den, "Racah", s) / m
-            if not w > 0:
-                raise NonPositiveWeightFor("Racah", s, w)
-            ws.append(w)
+            ws.append(_checked_div(num, den, "Racah", s) / m)
         return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
 
 
@@ -188,34 +197,27 @@ class QHahn:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if not (0 < self.q < 1):
             raise ValueError(f"need 0 < q < 1, got {self.q}")
-        for n in range(self.n_max + 1):
-            self.recurrence(n)
+        _askey_table(self, lambda a_plus_c: 1 - a_plus_c)
 
     def node(self, s: int) -> Fraction:
         return self.q ** (-s)
 
-    def _a(self, n: int) -> Fraction:
-        if n == self.n_max:
-            return Fraction(0)
+    def _a(self, n: int):
         a, b, q, nn = self.a, self.b, self.q, self.n_max
         num = (1 - q ** (n - nn)) * (1 - a * q ** (n + 1)) * (1 - a * b * q ** (n + 1))
         den = (1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n + 2))
-        return _checked_div(num, den, "QHahn", f"A_{n}")
+        return num, den
 
-    def _c(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(0)
+    def _c(self, n: int):
         a, b, q, nn = self.a, self.b, self.q, self.n_max
         num = -a * q ** (n - nn) * (1 - q**n) * (1 - b * q**n) \
             * (1 - a * b * q ** (n + nn + 1))
         den = (1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n))
-        return _checked_div(num, den, "QHahn", f"C_{n}")
+        return num, den
 
     def recurrence(self, n: int):
-        """(b_n, u_n): b_n = 1 - A_n - C_n, u_n = A_{n-1} C_n."""
-        b = 1 - self._a(n) - self._c(n)
-        u = self._a(n - 1) * self._c(n) if n >= 1 else None
-        return b, u
+        """(b_n, u_n) for 0 <= n <= N, with b_n = 1 - A_n - C_n."""
+        return _table_entry(self, n)
 
     def mass(self) -> Fraction:
         a, b, q, nn = self.a, self.b, self.q, self.n_max
@@ -231,10 +233,7 @@ class QHahn:
         for s in range(nn + 1):
             num = qpoch(a * q, q, s) * qpoch(q ** (-nn), q, s)
             den = qpoch(q, q, s) * qpoch(q ** (-nn) / b, q, s) * (a * b * q) ** s
-            w = _checked_div(num, den, "QHahn", s) / m
-            if not w > 0:
-                raise NonPositiveWeightFor("QHahn", s, w)
-            ws.append(w)
+            ws.append(_checked_div(num, den, "QHahn", s) / m)
         # exponential nodes increase with s already
         return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
 
@@ -334,11 +333,6 @@ def legendre_dual_coeffs(grid_kind: str, n_max: int, n: int):
             u = Fraction(n * (n + 3), 4 * (n + 2) * (n + 1))
         return Fraction(0), u
     raise UnsupportedFamily(f"no printed dual coefficients for {grid_kind!r}")
-
-
-class NonPositiveWeightFor(FamilyError):
-    def __init__(self, family, index, value):
-        super().__init__(f"{family}: weight at s={index} is {value}, not positive")
 
 
 def _factorial(n: int) -> int:

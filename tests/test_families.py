@@ -8,8 +8,8 @@ import pytest
 from sturmion import families, grids
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
-from sturmion.spectral import (check_orthogonality, generate_polys,
-                               jacobi_from_chain, mirror_dual)
+from sturmion.spectral import (NonPositiveWeight, check_orthogonality,
+                               generate_polys, jacobi_from_chain, mirror_dual)
 
 
 def oracle(spec):
@@ -110,6 +110,35 @@ def test_qhahn_weights_sum_to_one(fam):
     assert diag == [prod(jm.u[:n]) for n in range(n_max + 1)]
 
 
+def test_non_positive_weight_is_the_spectral_error():
+    # a = 3, b = 1, q = 1/2, N = 2 puts the weight -18/5 on s = 1
+    fam = families.QHahn(Fraction(3), Fraction(1), Fraction(1, 2), 2)
+    with pytest.raises(NonPositiveWeight, match="weight -18/5 at node 1"):
+        fam.weights()
+
+
+# a Hahn, a Racah and a q-Hahn family, each with N = 5
+ASKEY_FAMILIES = pytest.mark.parametrize("cls, args", [
+    (families.Hahn, (Fraction(0), Fraction(0), 5)),
+    (families.Racah, (Fraction(11, 2), Fraction(-1, 2), Fraction(1, 2), 5)),
+    (families.QHahn, (Fraction(1), Fraction(1), Fraction(1, 2), 5)),
+], ids=["hahn", "racah", "qhahn"])
+
+
+@ASKEY_FAMILIES
+def test_each_closed_form_evaluated_once(monkeypatch, cls, args):
+    # construction and the whole matrix read A_0..A_{N-1} and C_1..C_N,
+    # each once; A_N = 0 and C_0 = 0 by the truncation convention
+    seen = {"_a": [], "_c": []}
+    for name, calls in seen.items():
+        def counted(self, n, closed_form=getattr(cls, name), calls=calls):
+            calls.append(n)
+            return closed_form(self, n)
+        monkeypatch.setattr(cls, name, counted)
+    families.jacobi_matrix(cls(*args), 5)
+    assert seen == {"_a": [0, 1, 2, 3, 4], "_c": [1, 2, 3, 4, 5]}
+
+
 def test_chebyshev_recurrences_build_known_polys():
     t = families.ChebyshevT()
     u = families.ChebyshevU()
@@ -143,9 +172,17 @@ def test_chebyshev_derivative_relations():
 
 
 def test_denominator_zero_reported_with_index():
-    with pytest.raises(families.FamilyError):
-        fam = families.Hahn(Fraction(-1), Fraction(0), 2)
-        families.jacobi_matrix(fam, 2)
+    with pytest.raises(families.DenominatorZero) as caught:
+        families.Hahn(Fraction(-1), Fraction(0), 2)
+    assert (caught.value.family, caught.value.index) == ("Hahn", "A_0")
+
+
+@ASKEY_FAMILIES
+def test_recurrence_index_out_of_range(cls, args):
+    fam = cls(*args)
+    for n in (-1, fam.n_max + 1):
+        with pytest.raises(ValueError, match="index out of range"):
+            fam.recurrence(n)
 
 
 def test_racah_case_two_limit():

@@ -14,7 +14,8 @@ WRAPPED = ("transforms.christoffel", "transforms.christoffel_coefficients",
            "spectral.primal_weights", "spectral.dual_weights",
            "spectral.generate_polys", "spectral.check_orthogonality",
            "chain.build_chain", "poly.eval", "scalars.bigfloat_init",
-           "grids.characteristic_polynomial")
+           "grids.characteristic_polynomial", "families.recurrence",
+           "families.weights")
 
 
 def load_tracing():
