@@ -6,6 +6,10 @@ coefficients b_0..b_N and u_1..u_N, u_n > 0, satisfying
 
     P_{n+1}(x) = (x - b_n) P_n(x) - u_n P_{n-1}(x).
 
+A :class:`SturmChain` keeps the pair it was given and (b, u): the
+intermediate P_n are worked on as integer pairs and dropped, and
+``spectral.generate_polys`` regenerates them from (b, u).
+
 Sign variations along the chain count real roots: the chain differs from
 the textbook negated-remainder chain only by positive factors u_n, which
 never change a sign pattern.  :func:`count_roots` runs that textbook
@@ -14,10 +18,12 @@ chain itself, so it takes any polynomial, with repeated or complex roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Polynomial
+from .scalars import is_exact
 
 
 class ChainError(Exception):
@@ -38,9 +44,9 @@ class NonPositiveU(ChainError):
 
 @dataclass(frozen=True)
 class SturmChain:
-    """The full chain [P_{N+1}, P_N, ..., P_0] with extracted (b, u)."""
+    """The top pair (P_{N+1}, P_N) of a chain with its (b, u)."""
 
-    polys: tuple  # top degree first
+    pair: tuple   # (P_{N+1}, P_N)
     b: tuple      # b_0..b_N
     u: tuple      # u_1..u_N
 
@@ -48,10 +54,6 @@ class SturmChain:
     def n(self) -> int:
         """N: the chain's top polynomial has degree N+1."""
         return len(self.b) - 1
-
-    def poly(self, k: int) -> Polynomial:
-        """P_k, indexed by degree."""
-        return self.polys[len(self.polys) - 1 - k]
 
     @property
     def h_top(self):
@@ -72,41 +74,89 @@ def sturmian_pair(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     return p, p.derivative() * Fraction(1, deg)
 
 
+# Reduced (numerator, denominator) int pairs, denominator > 0, combined by
+# the gcd reductions of Fraction._add and Fraction._mul (Henrici 1956)
+# with no object per operation.
+def _sub(an, ad, bn, bd):
+    """an/ad - bn/bd."""
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd - ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) - bn * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
+
+
+def _mul(an, ad, bn, bd):
+    """an/ad * bn/bd."""
+    g1 = math.gcd(an, bd)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    g2 = math.gcd(bn, ad)
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return an * bn, ad * bd
+
+
+def _pairs(p: Polynomial) -> list:
+    """The ascending coefficients of p as reduced int pairs."""
+    if not all(is_exact(c) for c in p.coeffs):
+        raise TypeError(f"cannot build a chain from {p!r}: "
+                        "inexact coefficient")
+    return [(c.numerator, c.denominator) for c in p.coeffs]
+
+
 def build_chain(p_top: Polynomial, p_next: Polynomial) -> SturmChain:
-    """Run the Euclidean algorithm down to P_0 = 1, extracting (b, u)."""
+    """Run the Euclidean algorithm down to P_0 = 1, extracting (b, u).
+
+    With c the coefficients of P_{k+1} and d those of P_k, the quotient of
+    P_{k+1} by P_k is x - b_k with b_k = d_{k-1} - c_k, and the negated
+    remainder s_i = d_{i-1} - c_i - b_k d_i (i < k) has leading coefficient
+    u_k, so that P_{k-1} = s / u_k.  Coefficients may be ``int`` or
+    ``Fraction``; any other raises ``TypeError``.
+    """
     if not p_top.is_monic or not p_next.is_monic:
         raise ValueError("build_chain requires monic inputs")
     if p_next.degree != p_top.degree - 1:
         raise ValueError("degrees must be consecutive")
-    polys = [p_top, p_next]
+    cur, nxt = _pairs(p_top), _pairs(p_next)
     b_rev: list = []
     u_rev: list = []
-    cur, nxt = p_top, p_next
-    while nxt.degree > 0:
-        k = nxt.degree  # extracting b_k, u_k
-        q, r = divmod(cur, nxt)
-        # q is monic linear: x - b_k
-        b_rev.append(-q.coeffs[0])
-        if r.is_zero:
-            raise ZeroRemainder(f"zero remainder at index {k}")
-        if r.degree < k - 1:
-            raise DegreeGap(f"remainder degree {r.degree} at index {k}")
-        u_k = -r.leading
-        if not u_k > 0:
+    for k in range(p_next.degree, 0, -1):
+        bn, bd = _sub(*nxt[k - 1], *cur[k])
+        s = []
+        below = (0, 1)  # d_{i-1}
+        for c, d in zip(cur, nxt[:k]):
+            s.append(_sub(*_sub(*below, *c), *_mul(bn, bd, *d)))
+            below = d
+        un, ud = s[-1]
+        if un == 0:
+            nonzero = [i for i, (n, _) in enumerate(s) if n]
+            if not nonzero:
+                raise ZeroRemainder(f"zero remainder at index {k}")
+            raise DegreeGap(f"remainder degree {nonzero[-1]} at index {k}")
+        u_k = Fraction(un, ud)
+        if un < 0:
             raise NonPositiveU(f"u_{k} = {u_k} <= 0")
+        b_rev.append(Fraction(bn, bd))
         u_rev.append(u_k)
-        prev = r * (Fraction(-1) / u_k)
-        polys.append(prev)
-        cur, nxt = nxt, prev
-    # nxt is P_0 = 1 by construction; cur is P_1 = x - b_0
-    b_rev.append(-cur.coeffs[0])
-    return SturmChain(tuple(polys), tuple(reversed(b_rev)), tuple(reversed(u_rev)))
+        cur, nxt = nxt, [_mul(n, d, ud, un) for n, d in s[:-1]] + [(1, 1)]
+    # cur is P_1 = x - b_0
+    b_rev.append(Fraction(-cur[0][0], cur[0][1]))
+    return SturmChain((p_top, p_next), tuple(reversed(b_rev)),
+                      tuple(reversed(u_rev)))
 
 
-def sign_variations(chain: SturmChain, t) -> int:
-    """Sign changes along the chain at t, zero values skipped."""
+def sign_variations(polys, t) -> int:
+    """Sign changes along the polynomial sequence at t, zero values
+    skipped."""
     signs = []
-    for p in chain.polys:
+    for p in polys:
         v = p(t)
         if v > 0:
             signs.append(1)
@@ -115,11 +165,13 @@ def sign_variations(chain: SturmChain, t) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_from_chain(chain: SturmChain, a, b) -> int:
-    """Roots of the chain's top polynomial in the half-open interval (a, b]."""
+def count_from_chain(polys, a, b) -> int:
+    """Roots of polys[0] in the half-open interval (a, b], for a Sturm
+    sequence polys, top degree first, such as the chain P_{N+1}, ..., P_0
+    that ``spectral.generate_polys`` regenerates."""
     if not a < b:
         raise ValueError("interval endpoints must satisfy a < b")
-    return sign_variations(chain, a) - sign_variations(chain, b)
+    return sign_variations(polys, a) - sign_variations(polys, b)
 
 
 def count_roots(p: Polynomial, a, b) -> int:
@@ -138,6 +190,4 @@ def count_roots(p: Polynomial, a, b) -> int:
     g = seq[-1]
     if g.degree > 0:
         seq = [s // g for s in seq]
-    # a general Sturm sequence has no (b, u); sign variations read only
-    # its polynomials
-    return count_from_chain(SturmChain(tuple(seq), (), ()), a, b)
+    return count_from_chain(seq, a, b)

@@ -4,7 +4,7 @@ in an interval, and run the verification suite, with machine-readable output.
 Exit codes: 0 success, also when the reader closes the output pipe early;
 1 unexpected verification mismatch; 2 input parse error, including a bad
 grid option and a precision (--precision or STURMION_PRECISION) that is not
-a whole number of bits or is below 64 bits, on every command;
+a whole number of bits or is outside 64..65536 bits, on every command;
 3 degenerate grid; 4 chain or weight failure (e.g. a node that is not a
 root of the characteristic polynomial, or a weight that is not positive at
 the working precision)."""
@@ -23,8 +23,8 @@ from fractions import Fraction
 from . import __version__, grids, harness
 from .chain import ChainError, build_chain, count_roots, sturmian_pair
 from .poly import Polynomial
-from .scalars import (DEFAULT_PRECISION, MIN_PRECISION, parse_rational,
-                      scalar_json)
+from .scalars import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
+                      parse_rational, scalar_json)
 from .spectral import SpectralError, dual_weights, primal_weights
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def cmd_chain(args, out) -> int:
     xs = grids.nodes(spec)
     chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
     pw = primal_weights(chain, xs)
-    dw = dual_weights(chain.polys[0], chain.polys[1], xs)
+    dw = dual_weights(*chain.pair, xs)
     payload = {
         "b": [scalar_json(v) for v in chain.b],
         "u": [scalar_json(v) for v in chain.u],
@@ -230,6 +230,10 @@ def main(argv=None) -> int:
         parser.error(f"--format csv is only for chain, not {args.command}")
     if args.precision < MIN_PRECISION:
         print(f"error: precision must be >= {MIN_PRECISION} bits, "
+              f"got {args.precision}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.precision > MAX_PRECISION:
+        print(f"error: precision must be <= {MAX_PRECISION} bits, "
               f"got {args.precision}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -330,7 +330,7 @@ def verify_trig(kind: int, n_max: int) -> CheckReport:
         c, sin2k = Fraction(2, n_max + 1), sin2
     else:
         c, sin2k = Fraction(8, 3 * (n_max + 2)), sin2 * sin2
-    top, nxt = chain.polys[:2]
+    top, nxt = chain.pair
     col.zero_mod("w_s", Polynomial.constant(chain.h_top)
                  - sin2k * top.derivative() * nxt * c, top)
 

@@ -23,6 +23,9 @@ from mpmath.libmp import (
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+# the CLI's ceiling: one trig1 chain at N = 2 takes about 2 s at 2^16 bits,
+# more than a minute at 2^20, and far above that runs out of memory
+MAX_PRECISION = 65536
 
 
 class BigFloat:

@@ -121,7 +121,7 @@ def _weights(p_top: Polynomial, p_next: Polynomial, nodes, weight) -> SpectralDa
 def primal_weights(chain: SturmChain, nodes) -> SpectralData:
     """w_s = h_N / (P'_{N+1}(x_s) P_N(x_s)) on the roots of the top polynomial."""
     h = chain.h_top
-    return _weights(chain.polys[0], chain.polys[1], nodes,
+    return _weights(*chain.pair, nodes,
                     lambda dp, p: h / (dp * p))
 
 
@@ -135,7 +135,7 @@ def duality_product_check(primal: SpectralData, dual: SpectralData,
     """Max residual of w_s w*_s - h_N / P'_{N+1}(x_s)^2 over the nodes."""
     if primal.nodes != dual.nodes:
         raise NodeMismatch("primal and dual data carry different nodes")
-    dp = chain.polys[0].derivative()
+    dp = chain.pair[0].derivative()
     h = chain.h_top
     worst = Fraction(0)
     for x, w, ws in zip(primal.nodes, primal.weights, dual.weights):

@@ -63,12 +63,12 @@ def test_criterion_01_legendre_duality():
     for _, make in RATIONAL_GRIDS:
         for n in range(1, 13):
             chain, xs = oracle(make(n))
-            dw = dual_weights(chain.polys[0], chain.polys[1], xs)
+            dw = dual_weights(*chain.pair, xs)
             assert dw.weights == (Fraction(1, n + 1),) * (n + 1)
     for make in (grids.trig_first, grids.trig_second):
         for n in range(1, 13):
             chain, xs = oracle(make(n))
-            dw = dual_weights(chain.polys[0], chain.polys[1], xs)
+            dw = dual_weights(*chain.pair, xs)
             for w in dw.weights:
                 assert abs(to_fraction(w) - Fraction(1, n + 1)) < TOL
     elapsed = time.time() - start
@@ -231,13 +231,13 @@ def test_criterion_09_duality_product():
         for n in range(1, 13):
             chain, xs = oracle(make(n))
             pw = primal_weights(chain, xs)
-            dw = dual_weights(chain.polys[0], chain.polys[1], xs)
+            dw = dual_weights(*chain.pair, xs)
             assert duality_product_check(pw, dw, chain) == 0
     chain, xs = oracle(grids.linear(2))
     pw = primal_weights(chain, xs)
-    dw = dual_weights(chain.polys[0], chain.polys[1], xs)
+    dw = dual_weights(*chain.pair, xs)
     assert pw.weights[0] * dw.weights[0] == Fraction(1, 18)
-    dp = chain.polys[0].derivative()
+    dp = chain.pair[0].derivative()
     assert chain.h_top / dp(xs[0]) ** 2 == Fraction(1, 18)
     report(9, "w_s w*_s = h_N / P'(x_s)^2 exactly on rational grids, N<=12")
 
@@ -247,6 +247,8 @@ def test_criterion_10_root_counting():
     for _, make in RATIONAL_GRIDS:
         for n in range(1, 13):
             chain, xs = oracle(make(n))
+            # the chain P_{N+1}, ..., P_0, regenerated from (b, u)
+            seq = generate_polys(jacobi_from_chain(chain), n + 1)[::-1]
             lo_lim = int(xs[0]) - 3
             hi_lim = int(xs[-1]) + 3
             for _ in range(50):
@@ -258,7 +260,7 @@ def test_criterion_10_root_counting():
                     continue
                 a, b = min(a, b), max(a, b)
                 direct = sum(1 for x in xs if a < x <= b)
-                assert count_from_chain(chain, a, b) == direct
+                assert count_from_chain(seq, a, b) == direct
     report(10, "Sturm counts match direct node counts, 50 intervals each")
 
 

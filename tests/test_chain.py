@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sturmion import grids
 from sturmion.chain import (
     ChainError,
-    SturmChain,
+    DegreeGap,
+    NonPositiveU,
+    ZeroRemainder,
     build_chain,
     count_from_chain,
     count_roots,
@@ -16,6 +19,8 @@ from sturmion.chain import (
     sturmian_pair,
 )
 from sturmion.poly import Polynomial
+from sturmion.scalars import BigFloat
+from sturmion.spectral import generate_polys, jacobi_from_chain
 
 
 def grid_poly(nodes):
@@ -24,6 +29,37 @@ def grid_poly(nodes):
 
 def linear_chain(n):
     return build_chain(*sturmian_pair(grid_poly(range(n + 1))))
+
+
+def chain_polys(chain):
+    """P_{N+1}, ..., P_0, regenerated from the chain's (b, u)."""
+    return generate_polys(jacobi_from_chain(chain), chain.n + 1)[::-1]
+
+
+def reference_chain(p_top, p_next):
+    """The Euclidean chain by polynomial long division, for valid pairs:
+    its polynomials, top degree first, and (b, u)."""
+    polys = [p_top, p_next]
+    b_rev, u_rev = [], []
+    while polys[-1].degree > 0:
+        q, r = divmod(polys[-2], polys[-1])
+        b_rev.append(-q.coeffs[0])
+        u_rev.append(-r.leading)
+        polys.append(r * (Fraction(-1) / u_rev[-1]))
+    b_rev.append(-polys[-2].coeffs[0])
+    return polys, tuple(reversed(b_rev)), tuple(reversed(u_rev))
+
+
+def assert_matches_reference(p_top, p_next):
+    """build_chain gives the reference (b, u), and regenerating from them
+    gives back exactly the input pair: by uniqueness of Euclidean division
+    that alone proves (b, u)."""
+    chain = build_chain(p_top, p_next)
+    _, b, u = reference_chain(p_top, p_next)
+    assert (chain.b, chain.u) == (b, u)
+    assert all(type(v) is Fraction for v in chain.b + chain.u)
+    assert chain.pair == (p_top, p_next)
+    assert chain_polys(chain)[:2] == [p_top, p_next]
 
 
 def test_sturmian_pair_normalizes_derivative():
@@ -48,14 +84,83 @@ def test_small_linear_chain():
 
 def test_chain_polynomials_satisfy_recurrence():
     chain = linear_chain(4)
+    top_first = chain_polys(chain)
+    assert top_first == reference_chain(*chain.pair)[0]
+    polys = top_first[::-1]
     x = Polynomial.x()
     for n in range(1, 5):
-        p_next = chain.poly(n + 1)
-        p = chain.poly(n)
-        p_prev = chain.poly(n - 1)
-        lhs = (x - Polynomial.constant(chain.b[n])) * p \
-            - chain.u[n - 1] * p_prev
-        assert lhs == p_next
+        lhs = (x - Polynomial.constant(chain.b[n])) * polys[n] \
+            - chain.u[n - 1] * polys[n - 1]
+        assert lhs == polys[n + 1]
+
+
+GRIDS = ("linear", "quad:tau=1", "quad:tau=2", "quad:tau=1/2", "exp:q=1/2",
+         "exp:q=2/3", "aw:q=1/2,c1=1,c2=1,c0=0", "bi:c1=4,c2=-3,c0=0",
+         "trig1", "trig2")
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_chain_matches_long_division_on_every_grid(grid):
+    for n in (1, 2, 3, 4, 5, 8, 13, 21, 30):
+        spec = grids.parse_grid(grid, n)
+        assert_matches_reference(
+            *sturmian_pair(grids.characteristic_polynomial(spec)))
+
+
+distinct_roots = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=7),
+    min_size=1, max_size=9, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_roots)
+def test_chain_matches_long_division_on_random_roots(roots):
+    assert_matches_reference(*sturmian_pair(Polynomial.from_roots(roots)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_roots.filter(lambda r: len(r) > 1),
+       st.lists(st.integers(1, 9), min_size=8, max_size=8))
+def test_chain_matches_long_division_on_interlacing_pairs(roots, steps):
+    # P_N has one root strictly between each two of P_{N+1}
+    roots = sorted(roots)
+    inner = [lo + (hi - lo) * Fraction(t, 10)
+             for lo, hi, t in zip(roots, roots[1:], steps)]
+    assert_matches_reference(Polynomial.from_roots(roots),
+                             Polynomial.from_roots(inner))
+
+
+def test_int_coefficients_give_the_fraction_chain():
+    # roots 0, 2, 4 and 1, 3
+    top = Polynomial((0, 8, -6, 1))
+    nxt = Polynomial((3, -4, 1))
+    chain = build_chain(top, nxt)
+    exact = build_chain(Polynomial(tuple(map(Fraction, top.coeffs))),
+                        Polynomial(tuple(map(Fraction, nxt.coeffs))))
+    assert (chain.b, chain.u) == (exact.b, exact.u)
+    assert all(type(v) is Fraction for v in chain.b + chain.u)
+    assert chain.b == (Fraction(2),) * 3
+    assert chain.u == (Fraction(1), Fraction(3))
+
+
+def test_inexact_coefficient_raises_type_error():
+    top = Polynomial((BigFloat(Fraction(-1, 4)), 0, 1))  # x^2 - 1/4
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        build_chain(top, Polynomial.x())
+
+
+@pytest.mark.parametrize("top, nxt, error, message", [
+    ((0, -1, 1), (0, 1), ZeroRemainder, "zero remainder at index 1"),
+    ((1, 0, 0, 1), (0, 0, 1), DegreeGap, "remainder degree 0 at index 2"),
+    ((1, 0, 1), (0, 1), NonPositiveU, "u_1 = -1 <= 0"),
+    # the first step is regular, u_3 = 1 and P_2 = x^2
+    ((0, -1, -1, 0, 1), (-1, 0, 0, 1), DegreeGap,
+     "remainder degree 0 at index 2"),
+])
+def test_chain_errors_name_the_index(top, nxt, error, message):
+    with pytest.raises(error) as info:
+        build_chain(Polynomial(top), Polynomial(nxt))
+    assert str(info.value) == message
 
 
 def test_h_top_is_product_of_u():
@@ -79,17 +184,17 @@ def test_complex_roots_rejected():
 
 
 def test_sign_variation_endpoints():
-    chain = linear_chain(2)
-    assert sign_variations(chain, Fraction(-1)) == 3
-    assert sign_variations(chain, Fraction(3)) == 0
+    polys = chain_polys(linear_chain(2))
+    assert sign_variations(polys, Fraction(-1)) == 3
+    assert sign_variations(polys, Fraction(3)) == 0
 
 
 def test_count_from_chain_half_open():
-    chain = linear_chain(2)
+    polys = chain_polys(linear_chain(2))
     # interval (a, b] so a root at the left endpoint is excluded
-    assert count_from_chain(chain, Fraction(0), Fraction(2)) == 2
-    assert count_from_chain(chain, Fraction(-1), Fraction(2)) == 3
-    assert count_from_chain(chain, Fraction(1), Fraction(2)) == 1
+    assert count_from_chain(polys, Fraction(0), Fraction(2)) == 2
+    assert count_from_chain(polys, Fraction(-1), Fraction(2)) == 3
+    assert count_from_chain(polys, Fraction(1), Fraction(2)) == 1
 
 
 def test_count_roots_examples():
@@ -119,13 +224,14 @@ def test_total_count_equals_degree():
         chain = build_chain(*sturmian_pair(p))
         lo = min(roots) - 1
         hi = max(roots) + 1
-        assert count_from_chain(chain, lo, hi) == len(roots)
+        assert count_from_chain(chain_polys(chain), lo, hi) == len(roots)
 
 
 def test_random_intervals_match_direct_count():
     random.seed(11)
     roots = [Fraction(k) for k in (-3, -1, 0, 2, 5)]
-    chain = build_chain(*sturmian_pair(Polynomial.from_roots(roots)))
+    polys = chain_polys(
+        build_chain(*sturmian_pair(Polynomial.from_roots(roots))))
     for _ in range(100):
         a = Fraction(random.randint(-80, 80), random.randint(1, 9))
         b = Fraction(random.randint(-80, 80), random.randint(1, 9))
@@ -133,7 +239,7 @@ def test_random_intervals_match_direct_count():
             continue
         a, b = min(a, b), max(a, b)
         direct = sum(1 for r in roots if a < r <= b)
-        assert count_from_chain(chain, a, b) == direct
+        assert count_from_chain(polys, a, b) == direct
 
 
 def _above(t, centre, d, sign) -> bool:

@@ -309,6 +309,25 @@ def test_precision_below_minimum_exit_2_on_every_command(argv, env_bits):
     assert proc.stderr == "error: precision must be >= 64 bits, got 10\n"
 
 
+@pytest.mark.parametrize("argv, env_bits", [
+    (("--precision", "99999999999", "chain", "--grid", "trig1", "--n", "2"),
+     None),
+    (("--precision", "65537", "verify", "--nmax", "1"), None),
+    (("chain", "--grid", "trig1", "--n", "2"), "99999999999"),
+])
+def test_precision_above_maximum_exit_2(argv, env_bits):
+    import os
+    env = dict(os.environ)
+    if env_bits is not None:
+        env["STURMION_PRECISION"] = env_bits
+    proc = run_cli(*argv, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    bits = env_bits or argv[1]
+    assert proc.stderr == \
+        f"error: precision must be <= 65536 bits, got {bits}\n"
+
+
 def test_precision_env_invalid_exit_2():
     import os
     env = dict(os.environ, STURMION_PRECISION="abc")

@@ -68,7 +68,7 @@ def _sine_law_report(grid, n, c, k):
     compared with zero by the collector that verify_trig uses."""
     chain = build_chain(*sturmian_pair(
         grids.characteristic_polynomial(grid(n))))
-    top, nxt = chain.polys[:2]
+    top, nxt = chain.pair
     law = top.derivative() * nxt * c
     for _ in range(k):
         law = law * Polynomial((Fraction(1), Fraction(0), Fraction(-1)))

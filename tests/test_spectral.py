@@ -79,8 +79,15 @@ def test_generate_polys_reproduces_chain():
     chain, _ = linear_setup(3)
     jm = jacobi_from_chain(chain)
     polys = generate_polys(jm, 4)
-    for k, p in enumerate(polys):
-        assert p == chain.poly(k)
+    # the top pair is the chain's input, and each P_{k-1} is the negated
+    # remainder of P_{k+1} by P_k over u_k, down to P_0 = 1
+    assert tuple(polys[:-3:-1]) == chain.pair
+    assert polys[0] == Polynomial.constant(1)
+    x = Polynomial.x()
+    for k in range(1, 4):
+        q, r = divmod(polys[k + 1], polys[k])
+        assert q == x - Polynomial.constant(chain.b[k])
+        assert r == -chain.u[k - 1] * polys[k - 1]
     with pytest.raises(ValueError):
         generate_polys(jm, 6)
 
@@ -93,7 +100,7 @@ def test_primal_weights_linear_anchor():
 
 def test_dual_weights_are_uniform():
     chain, nodes = linear_setup(2)
-    sd = dual_weights(chain.polys[0], chain.polys[1], nodes)
+    sd = dual_weights(*chain.pair, nodes)
     assert sd.weights == (Fraction(1, 3),) * 3
 
 
@@ -131,7 +138,7 @@ def test_trig_weight_accuracy(kind, n):
     for precision in TRIG_PRECISIONS:
         nodes = grids.nodes(trig_spec(kind, n, precision))
         primal = primal_weights(chain, nodes)
-        dual = dual_weights(chain.polys[0], chain.polys[1], nodes)
+        dual = dual_weights(*chain.pair, nodes)
         for s, (w, ws) in enumerate(zip(primal.weights, dual.weights)):
             target = sine_law(kind, n, s, precision + 64)
             assert abs(to_fraction(w) - target) \
@@ -147,7 +154,7 @@ def test_trig_nodes_pass_the_node_check(kind):
     for n in range(1, 41):
         chain = trig_chain(kind, n)
         for precision in TRIG_PRECISIONS:
-            dual_weights(chain.polys[0], chain.polys[1],
+            dual_weights(*chain.pair,
                          grids.nodes(trig_spec(kind, n, precision)))
 
 
@@ -166,10 +173,10 @@ def test_node_moved_by_256_ulps_is_rejected(kind):
 def test_duality_product_anchor():
     chain, nodes = linear_setup(2)
     primal = primal_weights(chain, nodes)
-    dual = dual_weights(chain.polys[0], chain.polys[1], nodes)
+    dual = dual_weights(*chain.pair, nodes)
     assert duality_product_check(primal, dual, chain) == 0
     # at s = 0: w_0 w*_0 = (1/6)(1/3) = 1/18 = h_N / P'(0)^2
-    dp = chain.polys[0].derivative()
+    dp = chain.pair[0].derivative()
     assert primal.weights[0] * dual.weights[0] == Fraction(1, 18)
     assert chain.h_top / dp(nodes[0]) ** 2 == Fraction(1, 18)
 
@@ -250,5 +257,5 @@ def test_weights_on_random_exact_grids(node_set):
                 d *= (xs - xt) ** 2
         expected.append(size * h / d)
     assert primal_weights(chain, nodes).weights == tuple(expected)
-    dual = dual_weights(chain.polys[0], chain.polys[1], nodes)
+    dual = dual_weights(*chain.pair, nodes)
     assert dual.weights == (Fraction(1, size),) * size

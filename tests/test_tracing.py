@@ -13,7 +13,8 @@ WRAPPED = ("transforms.christoffel", "transforms.christoffel_coefficients",
            "transforms.uvarov", "transforms.second_kind_values",
            "spectral.primal_weights", "spectral.dual_weights",
            "spectral.generate_polys", "spectral.check_orthogonality",
-           "chain.build_chain", "poly.eval", "scalars.bigfloat_init",
+           "chain.build_chain", "chain.count_roots", "chain.count_from_chain",
+           "chain.sign_variations", "poly.eval", "scalars.bigfloat_init",
            "grids.characteristic_polynomial", "families.recurrence",
            "families.weights")
 
@@ -33,12 +34,14 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         assert transforms.christoffel is not originals[0]
         assert cli.main(["chain", "--grid", "trig1", "--n", "3"]) == 0
         assert cli.main(["verify", "--nmax", "1"]) == 0
+        assert cli.main(["count", "--poly", "x^2-1", "--lo", "-2",
+                         "--hi", "2"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     for name in WRAPPED:
         assert tracer.calls[name] > 0, name
-    metrics = tracer.per_layer(ops=2, output_bytes=0)
+    metrics = tracer.per_layer(ops=3, output_bytes=0)
     assert metrics["transforms.christoffel_s"][0] > 0
     assert metrics["harness.trig_first_s"][0] > 0
     assert (transforms.christoffel, spectral.primal_weights,
