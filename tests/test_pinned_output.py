@@ -1,0 +1,37 @@
+"""Pinned CLI output: the SHA-256 of stdout and the exit code of a few
+commands, taken before a refactor that must keep the output byte for byte.
+
+A change that alters any of these outputs on purpose (a new envelope key,
+a version bump) updates the hashes here and says why."""
+
+import hashlib
+
+import pytest
+
+from sturmion import cli
+
+PINNED = [
+    (["verify", "--nmax", "4"], 0,
+     "5d3bb700ff256c0802ca82909f0e7d6eacdcc2dfde89769b1a6d05ada983c113"),
+    (["verify", "--nmax", "3", "--q", "1/3", "--q", "2/3"], 0,
+     "9040ebd75db6b2cf056d6d598420124cd26e8bb7d620c07b0d352dadd6459e2a"),
+    (["chain", "--grid", "trig1", "--n", "12"], 0,
+     "e88d7a2041e67f43eceb64a75d359252e0043bf1f73ef9e1a70774a588aa1370"),
+    (["--precision", "512", "chain", "--grid", "trig2", "--n", "20"], 0,
+     "a739a572ab6fb18f5a0a8b7fe9e81bf2f37d32145db8c3531d7c3acbb2951e77"),
+    (["chain", "--grid", "exp:q=2/3", "--n", "12"], 0,
+     "46a17b577e096c7fd2dec9e0dbca79821f94e9987fbfee2af3b6a46d6d14ce77"),
+    (["chain", "--grid", "quad:tau=2", "--n", "20"], 0,
+     "b5f1608a9ef2ca87bb4f211ff686c3d72b4e4d433eea4e8c790e9a4068b8a703"),
+    (["--format", "csv", "chain", "--grid", "trig1", "--n", "2"], 0,
+     "12531365c80210ee45f6db38651d09a6d77152f5240d47a3eefefc5a43d2999d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED])
+def test_pinned_output(argv, code, digest, capsys, monkeypatch):
+    monkeypatch.delenv("STURMION_PRECISION", raising=False)
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
