@@ -6,9 +6,9 @@ coefficients b_0..b_N and u_1..u_N, u_n > 0, satisfying
 
     P_{n+1}(x) = (x - b_n) P_n(x) - u_n P_{n-1}(x).
 
-A :class:`SturmChain` keeps the pair it was given and (b, u): the
-intermediate P_n are worked on as integer pairs and dropped, and
-``spectral.generate_polys`` regenerates them from (b, u).
+A :class:`SturmChain` keeps the pair it was given and (b, u).  One integer
+pair step, ``_step``, runs the recurrence down here, dropping the P_n, and
+up in ``spectral.generate_polys``, which regenerates them from (b, u).
 
 Sign variations along the chain count real roots: the chain differs from
 the textbook negated-remainder chain only by positive factors u_n, which
@@ -103,12 +103,19 @@ def _mul(an, ad, bn, bd):
     return an * bn, ad * bd
 
 
-def _pairs(p: Polynomial) -> list:
-    """The ascending coefficients of p as reduced int pairs."""
-    if not all(is_exact(c) for c in p.coeffs):
-        raise TypeError(f"cannot build a chain from {p!r}: "
+def _pairs(values, source) -> list:
+    """values as reduced int pairs; source names them in the error."""
+    if not all(is_exact(c) for c in values):
+        raise TypeError(f"cannot build a chain from {source!r}: "
                         "inexact coefficient")
-    return [(c.numerator, c.denominator) for c in p.coeffs]
+    return [(c.numerator, c.denominator) for c in values]
+
+
+def _step(bn, bd, a, c) -> list:
+    """(a_{i-1} - c_i) - b a_i with b = bn/bd, a_{-1} = 0, for each index
+    i that both a and c reach: the ascending coefficients of (x - b) A - C."""
+    return [_sub(*_sub(*below, *ci), *_mul(bn, bd, *ai))
+            for below, ci, ai in zip([(0, 1)] + a, c, a)]
 
 
 def build_chain(p_top: Polynomial, p_next: Polynomial) -> SturmChain:
@@ -124,16 +131,11 @@ def build_chain(p_top: Polynomial, p_next: Polynomial) -> SturmChain:
         raise ValueError("build_chain requires monic inputs")
     if p_next.degree != p_top.degree - 1:
         raise ValueError("degrees must be consecutive")
-    cur, nxt = _pairs(p_top), _pairs(p_next)
-    b_rev: list = []
-    u_rev: list = []
+    cur, nxt = _pairs(p_top.coeffs, p_top), _pairs(p_next.coeffs, p_next)
+    b_rev, u_rev = [], []
     for k in range(p_next.degree, 0, -1):
         bn, bd = _sub(*nxt[k - 1], *cur[k])
-        s = []
-        below = (0, 1)  # d_{i-1}
-        for c, d in zip(cur, nxt[:k]):
-            s.append(_sub(*_sub(*below, *c), *_mul(bn, bd, *d)))
-            below = d
+        s = _step(bn, bd, nxt[:k], cur)
         un, ud = s[-1]
         if un == 0:
             nonzero = [i for i, (n, _) in enumerate(s) if n]

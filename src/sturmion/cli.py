@@ -4,7 +4,8 @@ in an interval, and run the verification suite, with machine-readable output.
 Exit codes: 0 success, also when the reader closes the output pipe early;
 1 unexpected verification mismatch; 2 input parse error, including a bad
 grid option and a precision (--precision or STURMION_PRECISION) that is not
-a whole number of bits or is outside 64..65536 bits, on every command;
+a whole number of bits or is outside 64..65536 bits, on every command, and
+an input too large for memory (--n, --nmax or the degree of --poly);
 3 degenerate grid; 4 chain or weight failure (e.g. a node that is not a
 root of the characteristic polynomial, or a weight that is not positive at
 the working precision)."""
@@ -257,6 +258,11 @@ def main(argv=None) -> int:
     except (PolynomialSyntaxError, grids.GridError, ValueError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        what = {"chain": "--n", "verify": "--nmax"}.get(
+            args.command, "the degree of --poly")
+        print(f"error: input too large for memory: {what}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -5,8 +5,9 @@ constants (Omega, nu); the value of Omega picks the family.  Nodes are
 exact rationals for the linear, quadratic, exponential, Askey-Wilson and
 Bannai-Ito kinds, and big floats for the two trigonometric kinds.  The
 trig characteristic polynomials are built from the exact Chebyshev
-recurrences, never from the floating nodes, so the Sturm chain stays in
-the rational backend on every grid.
+recurrences, never from the floating nodes, by the same integer-pair step
+that the Euclidean chain runs downwards, so the Sturm chain stays in the
+rational backend on every grid.
 """
 
 from __future__ import annotations
@@ -122,28 +123,17 @@ def nodes(spec: GridSpec):
     return xs
 
 
-def monic_t(degree: int) -> Polynomial:
-    """Monic T_degree from the exact Chebyshev recurrence."""
-    jm = families.jacobi_matrix(families.ChebyshevT(), max(degree - 1, 0))
-    return generate_polys(jm, degree)[-1]
-
-
-def monic_u(degree: int) -> Polynomial:
-    """Monic U_degree from the exact Chebyshev recurrence."""
-    jm = families.jacobi_matrix(families.ChebyshevU(), max(degree - 1, 0))
-    return generate_polys(jm, degree)[-1]
-
-
 def characteristic_polynomial(spec: GridSpec) -> Polynomial:
     """Monic polynomial of degree N+1 vanishing on all grid nodes.
 
-    Rational kinds expand the product over exact nodes; trig kinds use
-    the monic Chebyshev recurrences so the result is exact as well.
+    Rational kinds expand the product over exact nodes; trig kinds run
+    the exact Chebyshev T or U recurrence, so the result is exact as well.
     """
-    if spec.kind == TRIG_FIRST:
-        return monic_t(spec.n + 1)
-    if spec.kind == TRIG_SECOND:
-        return monic_u(spec.n + 1)
+    if spec.kind in (TRIG_FIRST, TRIG_SECOND):
+        fam = (families.ChebyshevT() if spec.kind == TRIG_FIRST
+               else families.ChebyshevU())
+        return generate_polys(families.jacobi_matrix(fam, spec.n),
+                              spec.n + 1)[-1]
     return Polynomial.from_roots(nodes(spec))
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import SturmChain
+from .chain import SturmChain, _mul, _pairs, _step
 from .poly import Polynomial
 from .scalars import is_exact
 
@@ -82,18 +82,19 @@ def mirror_dual(jm: JacobiMatrix) -> JacobiMatrix:
 
 
 def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
-    """[P_0, ..., P_upto] from the three-term recurrence; upto <= N+1."""
+    """[P_0, ..., P_upto], 0 <= upto <= N+1, by the Euclidean chain's step
+    run upwards on integer pairs, P_{n+1} = (x - b_n) P_n - u_n P_{n-1};
+    (b, u) must be ``int`` or ``Fraction``, else ``TypeError``."""
+    if upto < 0:
+        raise ValueError(f"cannot generate up to degree {upto} < 0")
     if upto > jm.n + 1:
         raise ValueError("cannot generate beyond degree N+1")
-    polys = [Polynomial.constant(Fraction(1))]
-    if upto == 0:
-        return polys
-    x = Polynomial.x()
-    polys.append(x - Polynomial.constant(jm.b[0]))
-    for n in range(1, upto):
-        nxt = (x - Polynomial.constant(jm.b[n])) * polys[n] - jm.u[n - 1] * polys[n - 1]
-        polys.append(nxt)
-    return polys
+    b, u = _pairs(jm.b, jm), _pairs(jm.u, jm)
+    pairs = [[(1, 1)]]  # P_0, with P_{-1} = 0
+    for n in range(upto):
+        scaled = [_mul(*u[n - 1], *c) for c in pairs[n - 1]] if n else []
+        pairs.append(_step(*b[n], pairs[n], scaled + [(0, 1)]) + [(1, 1)])
+    return [Polynomial(tuple(Fraction(*c) for c in p)) for p in pairs]
 
 
 def _is_root(value, slope, x) -> bool:

@@ -116,6 +116,26 @@ def test_chain_weight_failure_exit_4(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("target, argv, named", [
+    ("build_chain", ["chain", "--grid", "linear", "--n", "3"], "--n"),
+    ("harness.run_all", ["verify", "--nmax", "1"], "--nmax"),
+    ("parse_polynomial",
+     ["count", "--poly", "x^2-1", "--lo", "-2", "--hi", "2"],
+     "the degree of --poly"),
+])
+def test_input_too_large_for_memory_exit_2(target, argv, named, monkeypatch,
+                                           capsys):
+    # stands in for a huge --n, --nmax or degree without allocating it
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(f"sturmion.cli.{target}", out_of_memory)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input too large for memory: {named}\n"
+
 def test_chain_closed_output_pipe_ends_quietly():
     # the reader is gone before the first write, as in `sturmion ... | head`
     proc = subprocess.Popen(

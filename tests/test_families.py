@@ -139,6 +139,16 @@ def test_each_closed_form_evaluated_once(monkeypatch, cls, args):
     assert seen == {"_a": [0, 1, 2, 3, 4], "_c": [1, 2, 3, 4, 5]}
 
 
+def monic_t(degree):
+    """Monic T_degree, degree >= 1: the trig1 characteristic polynomial."""
+    return grids.characteristic_polynomial(grids.trig_first(degree - 1))
+
+
+def monic_u(degree):
+    """Monic U_degree, degree >= 1: the trig2 characteristic polynomial."""
+    return grids.characteristic_polynomial(grids.trig_second(degree - 1))
+
+
 def test_chebyshev_recurrences_build_known_polys():
     t = families.ChebyshevT()
     u = families.ChebyshevU()
@@ -150,10 +160,10 @@ def test_chebyshev_recurrences_build_known_polys():
         _, uu = u.recurrence(n)
         pt.append(x * pt[n] - ut * pt[n - 1])
         pu.append(x * pu[n] - uu * pu[n - 1])
-    assert pt[3] == grids.monic_t(3)
-    assert pu[3] == grids.monic_u(3)
-    assert pt[5] == grids.monic_t(5)
-    assert pu[5] == grids.monic_u(5)
+    assert pt[3] == monic_t(3)
+    assert pu[3] == monic_u(3)
+    assert pt[5] == monic_t(5)
+    assert pu[5] == monic_u(5)
 
 
 def test_chebyshev_derivative_relations():
@@ -165,9 +175,10 @@ def test_chebyshev_derivative_relations():
         _, uc = c2.recurrence(n)
         pc.append(x * pc[n] - uc * pc[n - 1])
     for n in range(0, 19):
-        lhs = grids.monic_t(n + 1).derivative()
-        assert lhs == Fraction(n + 1) * grids.monic_u(n)
-        lhs = grids.monic_u(n + 1).derivative()
+        lhs = monic_t(n + 1).derivative()
+        u_n = monic_u(n) if n else Polynomial.constant(1)  # no grid has N = -1
+        assert lhs == Fraction(n + 1) * u_n
+        lhs = monic_u(n + 1).derivative()
         assert lhs == Fraction(n + 1) * pc[n]
 
 

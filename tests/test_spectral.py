@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sturmion import grids
+from sturmion import families, grids
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
 from sturmion.scalars import BigFloat, dyadic, sin_pi, to_fraction
@@ -91,6 +91,77 @@ def test_generate_polys_reproduces_chain():
     with pytest.raises(ValueError):
         generate_polys(jm, 6)
 
+
+
+def reference_generate_polys(jm, upto):
+    """[P_0, ..., P_upto] by ``Polynomial`` arithmetic, one operation at a
+    time: the recurrence that ``generate_polys`` runs on integer pairs."""
+    x = Polynomial.x()
+    polys = [Polynomial.constant(Fraction(1)), x - Polynomial.constant(jm.b[0])]
+    for n in range(1, upto):
+        polys.append((x - Polynomial.constant(jm.b[n])) * polys[n]
+                     - jm.u[n - 1] * polys[n - 1])
+    return polys[:upto + 1]
+
+
+def assert_generate_polys_matches_reference(jm):
+    ref = reference_generate_polys(jm, jm.n + 1)
+    for upto in range(jm.n + 2):
+        assert generate_polys(jm, upto) == ref[:upto + 1]
+
+
+@pytest.mark.parametrize("grid", [
+    "linear", "quad:tau=1", "quad:tau=2", "quad:tau=1/2", "exp:q=1/2",
+    "exp:q=2/3", "aw:q=1/2,c1=1,c2=1,c0=0", "bi:c1=4,c2=-3,c0=0",
+    "trig1", "trig2"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+def test_generate_polys_matches_reference_on_every_grid(grid, n):
+    p = grids.characteristic_polynomial(grids.parse_grid(grid, n))
+    assert_generate_polys_matches_reference(
+        jacobi_from_chain(build_chain(*sturmian_pair(p))))
+
+
+@pytest.mark.parametrize("fam", [
+    families.Hahn(Fraction(-8), Fraction(-8), 7),
+    families.Hahn(Fraction(1, 2), Fraction(3, 2), 9),
+    families.Racah(Fraction(7, 2), Fraction(-1, 2), Fraction(1, 2), 3),
+    families.QHahn(Fraction(1), Fraction(1), Fraction(1, 2), 6),
+    families.ChebyshevT(),
+    families.ChebyshevU(),
+], ids=lambda fam: type(fam).__name__)
+def test_generate_polys_matches_reference_on_families(fam):
+    n_max = getattr(fam, "n_max", 15)
+    assert_generate_polys_matches_reference(families.jacobi_matrix(fam, n_max))
+
+
+exact = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=30))
+positive = st.one_of(st.integers(1, 30),
+                     st.fractions(min_value=Fraction(1, 30), max_value=30,
+                                  max_denominator=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(exact, min_size=n + 1, max_size=n + 1),
+    st.lists(positive, min_size=n, max_size=n))))
+def test_generate_polys_matches_reference_on_random_matrices(bu):
+    b, u = bu
+    assert_generate_polys_matches_reference(JacobiMatrix(tuple(b), tuple(u)))
+
+
+def test_generate_polys_rejects_negative_degree():
+    jm = jacobi_from_chain(linear_setup(3)[0])
+    for upto in (-1, -5):
+        with pytest.raises(ValueError, match="< 0"):
+            generate_polys(jm, upto)
+
+
+def test_generate_polys_rejects_inexact_coefficient():
+    half = BigFloat(Fraction(1, 2))
+    for jm in (JacobiMatrix((half, Fraction(0)), (Fraction(1),)),
+               JacobiMatrix((Fraction(0), Fraction(0)), (half,))):
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            generate_polys(jm, 2)
 
 def test_primal_weights_linear_anchor():
     chain, nodes = linear_setup(2)
