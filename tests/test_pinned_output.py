@@ -25,6 +25,19 @@ PINNED = [
      "b5f1608a9ef2ca87bb4f211ff686c3d72b4e4d433eea4e8c790e9a4068b8a703"),
     (["--format", "csv", "chain", "--grid", "trig1", "--n", "2"], 0,
      "12531365c80210ee45f6db38651d09a6d77152f5240d47a3eefefc5a43d2999d"),
+    (["chain", "--grid", "linear", "--n", "150"], 0,
+     "750ecbca68d44dc7b654fafa119957b199b3832ba5838c6fa6f76dbb0771c0ee"),
+    (["chain", "--grid", "quad:tau=1", "--n", "62"], 0,
+     "f8b5a0c173ad64b3c74340a9c6d41975862a52abbea850627730be4f514ff817"),
+    (["chain", "--grid", "exp:q=1/2", "--n", "40"], 0,
+     "807fe86e112a9aa0e35f2888d1e26f117bbc18c6d3b7a09615413875dc30cc85"),
+    # a repeated root, a negative leading coefficient, a fractional one
+    (["count", "--poly", "x^3-2x^2+x", "--lo", "-1", "--hi", "2"], 0,
+     "afbb7f0909c630478f39d50c2a302489548bd3f2545d92b0903852041a0ecd37"),
+    (["count", "--poly=-x^2+1", "--lo", "-2", "--hi", "2"], 0,
+     "ebc7513e1ddecc348b35f9ba2cea35ff65efd6ebfc903e4c563b7b2fd04e3930"),
+    (["count", "--poly", "3/2x^5-2x^3+1/2x", "--lo=-3/2", "--hi", "1"], 0,
+     "f4ec28cb91eb44c446b2a4aabedddd56172777ed052e4887b8ea1e7b54d2c96f"),
 ]
 
 
