@@ -6,14 +6,16 @@ coefficients b_0..b_N and u_1..u_N, u_n > 0, satisfying
 
     P_{n+1}(x) = (x - b_n) P_n(x) - u_n P_{n-1}(x).
 
-A :class:`SturmChain` keeps the pair it was given and (b, u).  One integer
-pair step, ``_step``, runs the recurrence down here, dropping the P_n, and
-up in ``spectral.generate_polys``, which regenerates them from (b, u).
+A :class:`SturmChain` keeps the pair it was given and (b, u).  Each
+polynomial here is a primitive integer vector A (content 1), a monic P_k
+being A / A[-1].  One step on them, ``_step``, runs the recurrence down
+here, dropping the P_n, and up in ``spectral.generate_polys``, which
+regenerates them from (b, u).
 
 Sign variations along the chain count real roots: the chain differs from
 the textbook negated-remainder chain only by positive factors u_n, which
-never change a sign pattern.  :func:`count_roots` runs that textbook
-chain itself, so it takes any polynomial, with repeated or complex roots.
+never change a sign pattern.  :func:`count_roots` runs the textbook
+chain on such vectors, for any polynomial, repeated or complex roots too.
 """
 
 from __future__ import annotations
@@ -58,98 +60,84 @@ class SturmChain:
     @property
     def h_top(self):
         """h_N = u_1 ... u_N, the squared-norm product."""
-        h = Fraction(1)
-        for un in self.u:
-            h = h * un
-        return h
+        return math.prod(self.u, start=Fraction(1))
 
 
 def sturmian_pair(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """(P, P'/(N+1)) for monic P of degree N+1; the second entry is monic."""
     if not p.is_monic:
         raise ValueError("sturmian_pair requires a monic polynomial")
-    deg = p.degree
-    if deg < 1:
+    if p.degree < 1:
         raise ValueError("sturmian_pair requires degree >= 1")
-    return p, p.derivative() * Fraction(1, deg)
+    return p, p.derivative() * Fraction(1, p.degree)
 
 
-# Reduced (numerator, denominator) int pairs, denominator > 0, combined by
-# the gcd reductions of Fraction._add and Fraction._mul (Henrici 1956)
-# with no object per operation.
-def _sub(an, ad, bn, bd):
-    """an/ad - bn/bd."""
-    g = math.gcd(ad, bd)
-    if g == 1:
-        return an * bd - ad * bn, ad * bd
-    s = ad // g
-    t = an * (bd // g) - bn * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return t, s * bd
-    return t // g2, s * (bd // g2)
-
-
-def _mul(an, ad, bn, bd):
-    """an/ad * bn/bd."""
-    g1 = math.gcd(an, bd)
-    if g1 > 1:
-        an //= g1
-        bd //= g1
-    g2 = math.gcd(bn, ad)
-    if g2 > 1:
-        bn //= g2
-        ad //= g2
-    return an * bn, ad * bd
-
-
-def _pairs(values, source) -> list:
-    """values as reduced int pairs; source names them in the error."""
+def _exact(values, source):
+    """values, if each is ``int`` or ``Fraction``; source names them."""
     if not all(is_exact(c) for c in values):
         raise TypeError(f"cannot build a chain from {source!r}: "
                         "inexact coefficient")
-    return [(c.numerator, c.denominator) for c in values]
+    return values
 
 
-def _step(bn, bd, a, c) -> list:
-    """(a_{i-1} - c_i) - b a_i with b = bn/bd, a_{-1} = 0, for each index
-    i that both a and c reach: the ascending coefficients of (x - b) A - C."""
-    return [_sub(*_sub(*below, *ci), *_mul(bn, bd, *ai))
-            for below, ci, ai in zip([(0, 1)] + a, c, a)]
+def _vector(values, source) -> list:
+    """Exact values times their least common denominator, as integers."""
+    den = math.lcm(*(c.denominator for c in _exact(values, source)))
+    return [c.numerator * (den // c.denominator) for c in values]
+
+
+def _primitive(s) -> tuple[list, int]:
+    """(s / g, g) for the content g = gcd(s) >= 0 (s itself if g <= 1)."""
+    g = math.gcd(*s)
+    return ([v // g for v in s] if g > 1 else s), g
+
+
+def _step(f, g, bn, bd, a, c) -> tuple[list, int]:
+    """(S / G, G) for S = f (bd x - bn) A - g C at each index that c
+    reaches (A read as 0 past its ends) and G its content; gcd(f, g) is
+    taken out of f and g before the products are formed."""
+    h = math.gcd(f, g)
+    f, g = f // h, g // h
+    s, content = _primitive([f * bd * lo - f * bn * hi - g * ci
+                             for lo, hi, ci in zip([0] + a, a + [0], c)])
+    return s, content * h
 
 
 def build_chain(p_top: Polynomial, p_next: Polynomial) -> SturmChain:
     """Run the Euclidean algorithm down to P_0 = 1, extracting (b, u).
 
-    With c the coefficients of P_{k+1} and d those of P_k, the quotient of
-    P_{k+1} by P_k is x - b_k with b_k = d_{k-1} - c_k, and the negated
-    remainder s_i = d_{i-1} - c_i - b_k d_i (i < k) has leading coefficient
-    u_k, so that P_{k-1} = s / u_k.  Coefficients may be ``int`` or
-    ``Fraction``; any other raises ``TypeError``.
+    With P_{k+1} = C / c and P_k = A / a, the quotient of P_{k+1} by P_k
+    is x - b_k with b_k = A_{k-1}/a - C_k/c = bn/bd, and the negated
+    remainder s = (x - b_k) P_k - P_{k+1} has leading coefficient u_k, so
+    that P_{k-1} = s / u_k.  ``_step`` with f = c and g = a bd forms
+    S = s a c bd, whose leading entry over a c bd is u_k.
+    Coefficients may be ``int`` or ``Fraction``; any other raises
+    ``TypeError``.
     """
     if not p_top.is_monic or not p_next.is_monic:
         raise ValueError("build_chain requires monic inputs")
     if p_next.degree != p_top.degree - 1:
         raise ValueError("degrees must be consecutive")
-    cur, nxt = _pairs(p_top.coeffs, p_top), _pairs(p_next.coeffs, p_next)
+    cur, nxt = (_vector(p.coeffs, p) for p in (p_top, p_next))
     b_rev, u_rev = [], []
     for k in range(p_next.degree, 0, -1):
-        bn, bd = _sub(*nxt[k - 1], *cur[k])
-        s = _step(bn, bd, nxt[:k], cur)
-        un, ud = s[-1]
-        if un == 0:
-            nonzero = [i for i, (n, _) in enumerate(s) if n]
+        a, c = nxt[-1], cur[-1]
+        b_k = Fraction(nxt[k - 1] * c - cur[k] * a, a * c)
+        bn, bd = b_k.numerator, b_k.denominator
+        s, content = _step(c, a * bd, bn, bd, nxt, cur[:k])
+        if s[-1] == 0:
+            nonzero = [i for i, v in enumerate(s) if v]
             if not nonzero:
                 raise ZeroRemainder(f"zero remainder at index {k}")
             raise DegreeGap(f"remainder degree {nonzero[-1]} at index {k}")
-        u_k = Fraction(un, ud)
-        if un < 0:
+        u_k = Fraction(s[-1] * content, a * c * bd)
+        if u_k < 0:
             raise NonPositiveU(f"u_{k} = {u_k} <= 0")
-        b_rev.append(Fraction(bn, bd))
+        b_rev.append(b_k)
         u_rev.append(u_k)
-        cur, nxt = nxt, [_mul(n, d, ud, un) for n, d in s[:-1]] + [(1, 1)]
+        cur, nxt = nxt, s
     # cur is P_1 = x - b_0
-    b_rev.append(Fraction(-cur[0][0], cur[0][1]))
+    b_rev.append(Fraction(-cur[0], cur[1]))
     return SturmChain((p_top, p_next), tuple(reversed(b_rev)),
                       tuple(reversed(u_rev)))
 
@@ -157,14 +145,8 @@ def build_chain(p_top: Polynomial, p_next: Polynomial) -> SturmChain:
 def sign_variations(polys, t) -> int:
     """Sign changes along the polynomial sequence at t, zero values
     skipped."""
-    signs = []
-    for p in polys:
-        v = p(t)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [v > 0 for v in (p(t) for p in polys) if v != 0]
+    return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
 def count_from_chain(polys, a, b) -> int:
@@ -176,20 +158,46 @@ def count_from_chain(polys, a, b) -> int:
     return sign_variations(polys, a) - sign_variations(polys, b)
 
 
+def _pseudo_divide(a, c) -> tuple[list, list]:
+    """(q, r) with lc^(deg a - deg c + 1) a = q c + r and deg r < deg c,
+    for integer vectors a and c and lc = c[-1]: division without a
+    fraction (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)."""
+    q, r = [], list(a)
+    for j in range(len(a) - len(c), -1, -1):
+        t = r.pop()
+        q = [t] + [c[-1] * v for v in q]
+        r = [c[-1] * v for v in r]
+        for i, ci in enumerate(c[:-1]):
+            r[j + i] -= t * ci
+    return q, r
+
+
 def count_roots(p: Polynomial, a, b) -> int:
     """Exact number of distinct real roots of p in (a, b].
 
     Sturm's theorem on the signed remainder sequence p, p', -rem, ...,
     each member divided by g = gcd(p, p'), so repeated and non-real roots
-    are allowed.  A root at an endpoint is handled exactly by the
+    are allowed.  Each member is a primitive integer vector and a positive
+    multiple of the textbook one (the primitive remainder sequence of
+    Collins and Brown).  A root at an endpoint is handled exactly by the
     half-open convention: a root at a is excluded, a root at b included.
     """
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots to count")
-    seq = [p, p.derivative()]
-    while not (r := seq[-2] % seq[-1]).is_zero:
-        seq.append(r * (Fraction(-1) / abs(r.leading)))
+    top = _primitive(_vector(p.coeffs, p))[0]
+    seq = [top, _primitive([i * c for i, c in enumerate(top) if i])[0]]
+    while any(r := _pseudo_divide(*seq[-2:])[1]):
+        while not r[-1]:
+            r.pop()
+        # r = lc^(delta+1) rem(num, den): negate it unless lc^(delta+1) < 0
+        num, den = seq[-2:]
+        if den[-1] > 0 or (len(num) - len(den)) % 2:
+            r = [-v for v in r]
+        seq.append(_primitive(r)[0])
     g = seq[-1]
-    if g.degree > 0:
-        seq = [s // g for s in seq]
-    return count_from_chain(seq, a, b)
+    if len(g) > 1:
+        # g is primitive and divides each member: the quotients are
+        # integral (Gauss's lemma), so the pseudo-quotients divide exactly
+        seq = [[v // g[-1] ** (len(s) - len(g) + 1)
+                for v in _pseudo_divide(s, g)[0]] for s in seq]
+    return count_from_chain([Polynomial(s) for s in seq], a, b)

@@ -133,7 +133,7 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         d = other.degree
-        lead = other.coeffs[-1]
+        lead = Fraction(other.coeffs[-1])  # so that int / lead is exact
         if len(rem) <= d:
             return Polynomial(), Polynomial(rem)
         q = [Fraction(0)] * (len(rem) - d)
@@ -146,9 +146,6 @@ class Polynomial:
             for j in range(d + 1):
                 rem[i - d + j] = rem[i - d + j] - f * other.coeffs[j]
         return Polynomial(q), Polynomial(rem[:d])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import SturmChain, _mul, _pairs, _step
+from .chain import SturmChain, _exact, _step
 from .poly import Polynomial
 from .scalars import is_exact
 
@@ -82,19 +82,24 @@ def mirror_dual(jm: JacobiMatrix) -> JacobiMatrix:
 
 
 def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
-    """[P_0, ..., P_upto], 0 <= upto <= N+1, by the Euclidean chain's step
-    run upwards on integer pairs, P_{n+1} = (x - b_n) P_n - u_n P_{n-1};
-    (b, u) must be ``int`` or ``Fraction``, else ``TypeError``."""
+    """[P_0, ..., P_upto], 0 <= upto <= N+1, by the Euclidean chain's own
+    step on primitive integer vectors, run upwards: P_{n+1} = (x - b_n) P_n
+    - u_n P_{n-1} with f = c ud and g = a bd un, for P_n = A / a, P_{n-1} =
+    C / c, b_n = bn/bd, u_n = un/ud; (b, u) not exact raise ``TypeError``."""
     if upto < 0:
         raise ValueError(f"cannot generate up to degree {upto} < 0")
     if upto > jm.n + 1:
         raise ValueError("cannot generate beyond degree N+1")
-    b, u = _pairs(jm.b, jm), _pairs(jm.u, jm)
-    pairs = [[(1, 1)]]  # P_0, with P_{-1} = 0
+    b, u = _exact(jm.b, jm), (0,) + tuple(_exact(jm.u, jm))
+    vecs = [[1], [1]]  # P_{-1}, which u_0 = 0 cancels, and P_0
     for n in range(upto):
-        scaled = [_mul(*u[n - 1], *c) for c in pairs[n - 1]] if n else []
-        pairs.append(_step(*b[n], pairs[n], scaled + [(0, 1)]) + [(1, 1)])
-    return [Polynomial(tuple(Fraction(*c) for c in p)) for p in pairs]
+        lower, a = vecs[-2:]
+        bn, bd, un, ud = (b[n].numerator, b[n].denominator, u[n].numerator,
+                          u[n].denominator)
+        vecs.append(_step(lower[-1] * ud, a[-1] * bd * un, bn, bd, a,
+                          lower + [0, 0])[0])
+    return [Polynomial(tuple(Fraction(v, vec[-1]) for v in vec))
+            for vec in vecs[1:]]
 
 
 def _is_root(value, slope, x) -> bool:

@@ -1,5 +1,6 @@
 """Euclidean chains, sign variations and real-root counting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +49,18 @@ def reference_chain(p_top, p_next):
         polys.append(r * (Fraction(-1) / u_rev[-1]))
     b_rev.append(-polys[-2].coeffs[0])
     return polys, tuple(reversed(b_rev)), tuple(reversed(u_rev))
+
+
+def reference_count_roots(p, a, b):
+    """count_roots by polynomial long division over Fraction: the signed
+    remainder sequence normalized to leading coefficient +-1."""
+    seq = [p, p.derivative()]
+    while not (r := seq[-2] % seq[-1]).is_zero:
+        seq.append(r * (Fraction(-1) / abs(r.leading)))
+    g = seq[-1]
+    if g.degree > 0:
+        seq = [divmod(s, g)[0] for s in seq]
+    return count_from_chain(seq, a, b)
 
 
 def assert_matches_reference(p_top, p_next):
@@ -99,9 +112,15 @@ GRIDS = ("linear", "quad:tau=1", "quad:tau=2", "quad:tau=1/2", "exp:q=1/2",
          "trig1", "trig2")
 
 
+# one large case per kind whose coefficient bits grow fast, so that the
+# content division runs on integers of thousands of bits
+LARGE = {"linear": 150, "exp:q=1/2": 48, "quad:tau=1/2": 40}
+
+
 @pytest.mark.parametrize("grid", GRIDS)
 def test_chain_matches_long_division_on_every_grid(grid):
-    for n in (1, 2, 3, 4, 5, 8, 13, 21, 30):
+    extra = (LARGE[grid],) if grid in LARGE else ()
+    for n in (1, 2, 3, 4, 5, 8, 13, 21, 30) + extra:
         spec = grids.parse_grid(grid, n)
         assert_matches_reference(
             *sturmian_pair(grids.characteristic_polynomial(spec)))
@@ -208,6 +227,11 @@ def test_count_roots_non_monic():
     assert count_roots(p, Fraction(-1), Fraction(3)) == 3
 
 
+def test_count_roots_int_coefficients():
+    # x^2 - 3x + 2, roots 1 and 2
+    assert count_roots(Polynomial((2, -3, 1)), 0, 100) == 2
+
+
 def test_count_roots_root_at_left_endpoint():
     # monic T_3 has roots at +-sqrt(3)/2 and 0; only sqrt(3)/2 lies in (0, 1]
     t3 = Polynomial((Fraction(0), Fraction(-3, 4), Fraction(0), Fraction(1)))
@@ -258,13 +282,13 @@ factors = st.lists(
     min_size=1, max_size=4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(factors, st.sampled_from((1, -1, Fraction(3, 2), Fraction(-1, 3))),
-       small, small, st.booleans(), st.data())
-def test_count_roots_is_the_number_of_distinct_real_roots(
-        fs, lead, lo, hi, on_root, data):
-    # a product of linear factors x - a and quadratics (x - a)^2 - d
-    # (irrational roots) or (x - a)^2 + d (complex roots), each to a power
+leads = st.sampled_from((1, -1, Fraction(3, 2), Fraction(-1, 3)))
+
+
+def product(fs, lead):
+    """lead times a product of linear factors x - a and quadratics
+    (x - a)^2 - d (irrational roots) or (x - a)^2 + d (complex roots), each
+    to a power; with its rational roots and its (a, d) irrational pairs."""
     p = Polynomial.constant(Fraction(lead))
     x = Polynomial.x()
     rational, irrational = set(), set()
@@ -280,15 +304,74 @@ def test_count_roots_is_the_number_of_distinct_real_roots(
                 irrational.add((a, d))
         for _ in range(power):
             p = p * factor
+    return p, rational, irrational
+
+
+def endpoints(lo, hi, rational, on_root, data):
+    """(lo, hi) in order, with a rational root on one end if on_root, or
+    None when they coincide."""
     if on_root and rational:
-        # put a root on an endpoint
         root = data.draw(st.sampled_from(sorted(rational)))
         lo, hi = (root, max(hi, root + 1)) if data.draw(st.booleans()) \
             else (min(lo, root - 1), root)
     if lo == hi:
+        return None
+    return min(lo, hi), max(lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors, leads, small, small, st.booleans(), st.data())
+def test_count_roots_is_the_number_of_distinct_real_roots(
+        fs, lead, lo, hi, on_root, data):
+    p, rational, irrational = product(fs, lead)
+    ends = endpoints(lo, hi, rational, on_root, data)
+    if ends is None:
         return
-    lo, hi = min(lo, hi), max(lo, hi)
+    lo, hi = ends
     direct = sum(lo < r <= hi for r in rational)
     direct += sum(_above(lo, a, d, sign) and not _above(hi, a, d, sign)
                   for a, d in irrational for sign in (1, -1))
     assert count_roots(p, lo, hi) == direct
+
+
+def integral(p):
+    """p times the least common denominator of its coefficients, with
+    ``int`` coefficients."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
+    return Polynomial(tuple(int(c * den) for c in p.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors, leads, small, small, st.booleans(), st.data())
+def test_count_roots_matches_long_division(fs, lead, lo, hi, on_root, data):
+    p, rational, _ = product(fs, lead)
+    ends = endpoints(lo, hi, rational, on_root, data)
+    if ends is None:
+        return
+    for q in (p, integral(p)):
+        assert count_roots(q, *ends) == reference_count_roots(q, *ends)
+
+
+# sparse integer polynomials: remainders that drop two or more degrees,
+# where the sign of lc^(delta+1) in the pseudo-remainder matters
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=1,
+                max_size=7), leads,
+       st.lists(st.integers(-6, 6), min_size=2, max_size=2, unique=True))
+def test_count_roots_matches_long_division_on_sparse_polynomials(
+        coeffs, lead, ends):
+    p = Polynomial(tuple(coeffs) + (lead,))
+    lo, hi = sorted(ends)
+    for q in (p, integral(p)):
+        assert count_roots(q, lo, hi) == reference_count_roots(q, lo, hi)
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, count", [
+    ((0, 0, 1, 0, 0, -1), -1, 4, 2),    # x^2 - x^5: double root 0, root 1
+    ((3, 3, 0, 0, -1), -4, 6, 2),       # -x^4 + 3x + 3
+    ((2, 0, 0, 0, 3, 1), -6, 0, 1),     # x^5 + 3x^4 + 2
+])
+def test_count_roots_where_the_remainder_skips_degrees(coeffs, lo, hi, count):
+    p = Polynomial(coeffs)
+    assert count_roots(p, lo, hi) == count
+    assert reference_count_roots(p, lo, hi) == count

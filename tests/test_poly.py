@@ -64,6 +64,14 @@ def test_long_division_with_remainder():
     assert r == make(2)
 
 
+def test_long_division_of_int_coefficients_is_exact():
+    # x^2 + 3 = (3/2 x) (2x) + 1, not 1.5 x
+    q, r = divmod(Polynomial((1, 0, 3)), Polynomial((0, 2)))
+    assert q == make(0, Fraction(3, 2))
+    assert all(type(c) is Fraction for c in q.coeffs)
+    assert r == make(1)
+
+
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         divmod(make(1, 1), Polynomial())

@@ -1,13 +1,14 @@
 """Jacobi matrices, weights, moments, Hankel determinants and the
 Stieltjes continued fraction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sturmion import families, grids
+from sturmion import families, grids, spectral
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
 from sturmion.scalars import BigFloat, dyadic, sin_pi, to_fraction
@@ -147,6 +148,29 @@ positive = st.one_of(st.integers(1, 30),
 def test_generate_polys_matches_reference_on_random_matrices(bu):
     b, u = bu
     assert_generate_polys_matches_reference(JacobiMatrix(tuple(b), tuple(u)))
+
+
+@pytest.mark.parametrize("grid, n", [("linear", 12), ("exp:q=1/2", 8),
+                                     ("quad:tau=1/2", 8)])
+def test_generate_polys_builds_each_p_n_from_its_primitive_vector(
+        grid, n, monkeypatch):
+    # a primitive vector A of a monic P_n has the least common denominator
+    # of P_n as its leading entry, the one denominator of P_n = A / A[-1];
+    # without the content division the bit lengths grow like Fibonacci
+    # numbers
+    p = grids.characteristic_polynomial(grids.parse_grid(grid, n))
+    jm = jacobi_from_chain(build_chain(*sturmian_pair(p)))
+    denominators = []
+
+    def recording(v, d):
+        denominators.append(d)
+        return Fraction(v, d)
+
+    monkeypatch.setattr(spectral, "Fraction", recording)
+    polys = generate_polys(jm, n + 1)
+    monkeypatch.undo()
+    assert denominators == [math.lcm(*(c.denominator for c in q.coeffs))
+                            for q in polys for _ in q.coeffs]
 
 
 def test_generate_polys_rejects_negative_degree():
