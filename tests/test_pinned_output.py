@@ -31,6 +31,14 @@ PINNED = [
      "f8b5a0c173ad64b3c74340a9c6d41975862a52abbea850627730be4f514ff817"),
     (["chain", "--grid", "exp:q=1/2", "--n", "40"], 0,
      "807fe86e112a9aa0e35f2888d1e26f117bbc18c6d3b7a09615413875dc30cc85"),
+    # the largest trig ops of the chain-trig workload, and a rational node
+    # with q != 1
+    (["chain", "--grid", "trig1", "--n", "30"], 0,
+     "35af523a6d6fd19183b95ebb3aa44331c6fb3392c53ad16c4f466eb38491a93d"),
+    (["--precision", "512", "chain", "--grid", "trig2", "--n", "29"], 0,
+     "d83bbd0a274ba3f0138de59f01295bb81bd71b4164743a94f00d52cd98b4abc6"),
+    (["chain", "--grid", "exp:q=3/4", "--n", "48"], 0,
+     "080ea36301a0b92086d51ab9f5b922740fb81a7b1667721935cbcba585013fb6"),
     # a repeated root, a negative leading coefficient, a fractional one
     (["count", "--poly", "x^3-2x^2+x", "--lo", "-1", "--hi", "2"], 0,
      "afbb7f0909c630478f39d50c2a302489548bd3f2545d92b0903852041a0ecd37"),
