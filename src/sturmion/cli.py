@@ -26,7 +26,7 @@ from .chain import ChainError, build_chain, count_roots, sturmian_pair
 from .poly import Polynomial
 from .scalars import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
                       parse_rational, scalar_json)
-from .spectral import SpectralError, dual_weights, primal_weights
+from .spectral import SpectralError, weights
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -116,8 +116,7 @@ def cmd_chain(args, out) -> int:
     spec = grids.parse_grid(args.grid, args.n, args.precision)
     xs = grids.nodes(spec)
     chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
-    pw = primal_weights(chain, xs)
-    dw = dual_weights(*chain.pair, xs)
+    pw, dw = weights(chain, xs)
     payload = {
         "b": [scalar_json(v) for v in chain.b],
         "u": [scalar_json(v) for v in chain.u],

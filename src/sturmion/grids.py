@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import families
 from .poly import Polynomial
 from .scalars import DEFAULT_PRECISION, cos_pi
-from .spectral import generate_polys
+from .spectral import _top_polys
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -132,8 +132,8 @@ def characteristic_polynomial(spec: GridSpec) -> Polynomial:
     if spec.kind in (TRIG_FIRST, TRIG_SECOND):
         fam = (families.ChebyshevT() if spec.kind == TRIG_FIRST
                else families.ChebyshevU())
-        return generate_polys(families.jacobi_matrix(fam, spec.n),
-                              spec.n + 1)[-1]
+        return _top_polys(families.jacobi_matrix(fam, spec.n), spec.n + 1,
+                          1)[0]
     return Polynomial.from_roots(nodes(spec))
 
 

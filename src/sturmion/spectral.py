@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .chain import SturmChain, _exact, _step
 from .poly import Polynomial
-from .scalars import is_exact
+from .scalars import dyadic, is_exact
 
 
 class SpectralError(Exception):
@@ -86,6 +86,12 @@ def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
     step on primitive integer vectors, run upwards: P_{n+1} = (x - b_n) P_n
     - u_n P_{n-1} with f = c ud and g = a bd un, for P_n = A / a, P_{n-1} =
     C / c, b_n = bn/bd, u_n = un/ud; (b, u) not exact raise ``TypeError``."""
+    return _top_polys(jm, upto, upto + 1)
+
+
+def _top_polys(jm: JacobiMatrix, upto: int, count: int) -> list[Polynomial]:
+    """``generate_polys(jm, upto)[-count:]``, making a ``Polynomial`` of
+    only those last vectors."""
     if upto < 0:
         raise ValueError(f"cannot generate up to degree {upto} < 0")
     if upto > jm.n + 1:
@@ -99,7 +105,7 @@ def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
         vecs.append(_step(lower[-1] * ud, a[-1] * bd * un, bn, bd, a,
                           lower + [0, 0])[0])
     return [Polynomial(tuple(Fraction(v, vec[-1]) for v in vec))
-            for vec in vecs[1:]]
+            for vec in vecs[1:][-count:]]
 
 
 def _is_root(value, slope, x) -> bool:
@@ -107,33 +113,48 @@ def _is_root(value, slope, x) -> bool:
     root, and a floating one within one ulp of a root by a Newton step."""
     if is_exact(x):
         return value == 0
-    return abs(value) <= abs(slope * x) / 2 ** (x.precision - 1)
+    # |value| <= |slope x| / 2^(prec - 1), on the dyadic integers m / 2^e
+    (mv, ev), (ms, es) = dyadic(value), dyadic(slope * x)
+    return abs(mv) << (es + x.precision - 1) <= abs(ms) << ev
 
 
-def _weights(p_top: Polynomial, p_next: Polynomial, nodes, weight) -> SpectralData:
-    """weight(P'_{N+1}(x_s), P_N(x_s)) on each node, after checking that the
-    node is a root of the top polynomial."""
+def _weights(p_top: Polynomial, p_next: Polynomial, nodes, *laws) -> tuple:
+    """One ``SpectralData`` per law(P'_{N+1}(x_s), P_N(x_s)), from one pass
+    that evaluates each polynomial once per node and checks the root."""
     dp = p_top.derivative()
-    weights = []
+    values = []
     for s, x in enumerate(nodes):
         slope = dp(x)
         if not _is_root(p_top(x), slope, x):
             raise NodeMismatch(
                 f"node {s}, {x!r}, is not a root of the top polynomial")
-        weights.append(weight(slope, p_next(x)))
-    return SpectralData(tuple(nodes), tuple(weights))
+        values.append((slope, p_next(x)))
+    return tuple(SpectralData(tuple(nodes), tuple(law(*v) for v in values))
+                 for law in laws)
+
+
+def _primal_law(chain: SturmChain):
+    h = chain.h_top
+    return lambda dp, p: h / (dp * p)
+
+
+def _dual_law(dp, p):
+    return p / dp
+
+
+def weights(chain: SturmChain, nodes) -> tuple[SpectralData, SpectralData]:
+    """(primal, dual) weights from one pass over the nodes."""
+    return _weights(*chain.pair, nodes, _primal_law(chain), _dual_law)
 
 
 def primal_weights(chain: SturmChain, nodes) -> SpectralData:
     """w_s = h_N / (P'_{N+1}(x_s) P_N(x_s)) on the roots of the top polynomial."""
-    h = chain.h_top
-    return _weights(*chain.pair, nodes,
-                    lambda dp, p: h / (dp * p))
+    return _weights(*chain.pair, nodes, _primal_law(chain))[0]
 
 
 def dual_weights(p_top: Polynomial, p_next: Polynomial, nodes) -> SpectralData:
     """w*_s = P_N(x_s) / P'_{N+1}(x_s); constant 1/(N+1) for a Sturmian pair."""
-    return _weights(p_top, p_next, nodes, lambda dp, p: p / dp)
+    return _weights(p_top, p_next, nodes, _dual_law)[0]
 
 
 def duality_product_check(primal: SpectralData, dual: SpectralData,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .chain import ChainError, build_chain
 from .poly import Polynomial
 from .spectral import (JacobiMatrix, PoleHit, SpectralData, SpectralError,
-                       generate_polys, jacobi_from_chain)
+                       _top_polys, generate_polys, jacobi_from_chain)
 
 TransformError = SpectralError
 
@@ -83,12 +83,12 @@ def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, tuple]:
     """
     nn = jm.n
     v_seq = _christoffel_multipliers(jm, a)
-    polys = generate_polys(jm, nn + 1)
+    p_nn, p_top = _top_polys(jm, nn + 1, 2)
     divisor = Polynomial((-Fraction(a), Fraction(1)))
-    p_new, r = divmod(polys[nn + 1] - v_seq[nn] * polys[nn], divisor)
+    p_new, r = divmod(p_top - v_seq[nn] * p_nn, divisor)
     if not r.is_zero:
         raise TransformError("quotient construction left a remainder")
-    return _chain_matrix("Christoffel", a, polys[nn + 1], p_new), v_seq
+    return _chain_matrix("Christoffel", a, p_top, p_new), v_seq
 
 
 def christoffel_coefficients(jm: JacobiMatrix, a):
@@ -114,9 +114,9 @@ def geronimus(jm: JacobiMatrix, a, phi0, phi1) -> tuple[JacobiMatrix, tuple]:
     """
     nn = jm.n
     u_seq = _ratios(jm, a, phi0, phi1, lambda n: ZeroPhi(f"phi_{n} = 0"))
-    tilde = generate_polys(jm, nn + 1)
-    top = tilde[nn + 1] - u_seq[nn] * tilde[nn]
-    nxt = tilde[nn] - u_seq[nn - 1] * tilde[nn - 1] if nn else tilde[0]
+    *lower, p_nn, p_top = _top_polys(jm, nn + 1, 3)
+    top = p_top - u_seq[nn] * p_nn
+    nxt = p_nn - u_seq[nn - 1] * lower[0] if nn else p_nn
     return _chain_matrix("Geronimus", a, top, nxt), u_seq
 
 

@@ -105,16 +105,36 @@ def test_chain_trig_weights_at_low_precision(precision, n):
 
 def test_chain_weight_failure_exit_4(monkeypatch, capsys):
     def negative_first_weight(chain, xs):
-        return SpectralData(tuple(xs),
-                            (Fraction(-1),) + (Fraction(1),) * (len(xs) - 1))
+        primal = SpectralData(tuple(xs),
+                              (Fraction(-1),) + (Fraction(1),) * (len(xs) - 1))
+        return primal, primal
 
-    monkeypatch.setattr(cli, "primal_weights", negative_first_weight)
+    monkeypatch.setattr(cli, "weights", negative_first_weight)
     assert cli.main(["chain", "--grid", "linear", "--n", "3"]) == 4
     err = capsys.readouterr().err
     assert "grid linear, N=3" in err
     assert "at node 0" in err
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("grid, n", [("linear", 9), ("exp:q=3/4", 7),
+                                     ("trig1", 12), ("trig2", 11)])
+def test_chain_evaluates_three_polynomials_per_node(grid, n, monkeypatch,
+                                                    capsys):
+    # both weights come from P'_{N+1}, P_{N+1} and P_N, each evaluated once
+    # at each node; nothing else in chain evaluates a polynomial
+    calls = []
+    evaluate = Polynomial.__call__
+
+    def counting(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.delenv("STURMION_PRECISION", raising=False)
+    monkeypatch.setattr(Polynomial, "__call__", counting)
+    assert cli.main(["chain", "--grid", grid, "--n", str(n)]) == 0
+    assert len(calls) == 3 * (n + 1)
 
 
 @pytest.mark.parametrize("target, argv, named", [

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from sturmion import grids
+from sturmion import families, grids
 from sturmion.poly import Polynomial
 from sturmion.scalars import cos_pi, to_fraction
+from sturmion.spectral import generate_polys
 
 
 def test_linear_nodes():
@@ -88,3 +89,14 @@ def test_parse_grid():
     assert grids.parse_grid("trig2", 2).kind == grids.TRIG_SECOND
     with pytest.raises(ValueError):
         grids.parse_grid("nope", 2)
+
+
+@pytest.mark.parametrize("make, family", [
+    (grids.trig_first, families.ChebyshevT),
+    (grids.trig_second, families.ChebyshevU)])
+def test_trig_characteristic_polynomial_is_the_top_generated_polynomial(
+        make, family):
+    for n in range(13):
+        jm = families.jacobi_matrix(family(), n)
+        assert grids.characteristic_polynomial(make(n)) \
+            == generate_polys(jm, n + 1)[-1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sturmion import families, grids, spectral
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
-from sturmion.scalars import BigFloat, dyadic, sin_pi, to_fraction
+from sturmion.scalars import BigFloat, dyadic, is_exact, sin_pi, to_fraction
 from sturmion.spectral import (
     JacobiMatrix,
     NodeMismatch,
@@ -253,16 +253,82 @@ def test_trig_nodes_pass_the_node_check(kind):
                          grids.nodes(trig_spec(kind, n, precision)))
 
 
+def moved(x, ulps):
+    """x moved by ``ulps`` units in the last place at its precision."""
+    m, e = dyadic(x)
+    ulp = Fraction(2) ** (m.bit_length() - e - x.precision)
+    return BigFloat(to_fraction(x) + ulps * ulp, x.precision)
+
+
 @pytest.mark.parametrize("kind", [1, 2])
 def test_node_moved_by_256_ulps_is_rejected(kind):
     chain = trig_chain(kind, 20)
     for precision in TRIG_PRECISIONS:
         nodes = grids.nodes(trig_spec(kind, 20, precision))
-        m, e = dyadic(nodes[1])
-        ulp = Fraction(2) ** (m.bit_length() - e - precision)
-        moved = BigFloat(to_fraction(nodes[1]) + 2**8 * ulp, precision)
         with pytest.raises(NodeMismatch):
-            primal_weights(chain, [nodes[0], moved] + nodes[2:])
+            primal_weights(chain, [nodes[0], moved(nodes[1], 2**8)]
+                           + nodes[2:])
+
+
+def scalar_key(v):
+    """A BigFloat by its libmp value and precision, a rational by value."""
+    return (v._mpf_, v.precision) if isinstance(v, BigFloat) else v
+
+
+ONE_PASS_GRIDS = ["linear", "quad:tau=1/2", "exp:q=2/3",
+                  "aw:q=1/2,c1=1,c2=1,c0=0", "bi:c1=4,c2=-3,c0=0", "trig1",
+                  "trig2"]
+
+
+@pytest.mark.parametrize("grid", ONE_PASS_GRIDS)
+@pytest.mark.parametrize("n, precision", [(1, 64), (6, 256), (13, 512)])
+def test_one_pass_weights_equal_the_one_law_calls(grid, n, precision):
+    spec = grids.parse_grid(grid, n, precision)
+    nodes = grids.nodes(spec)
+    chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
+    p_top, p_next = chain.pair
+    dp = p_top.derivative()
+    h = chain.h_top
+    two_passes = ([h / (dp(x) * p_next(x)) for x in nodes],
+                  [p_next(x) / dp(x) for x in nodes])
+    one_law = (primal_weights(chain, nodes), dual_weights(p_top, p_next, nodes))
+    for got, law, ref in zip(spectral.weights(chain, nodes), one_law,
+                             two_passes):
+        assert got.nodes == law.nodes == tuple(nodes)
+        assert ([scalar_key(w) for w in got.weights]
+                == [scalar_key(w) for w in law.weights]
+                == [scalar_key(w) for w in ref])
+
+
+@pytest.mark.parametrize("grid", ["linear", "exp:q=1/2", "trig1", "trig2"])
+def test_one_pass_names_the_moved_node(grid):
+    spec = grids.parse_grid(grid, 8)
+    nodes = grids.nodes(spec)
+    chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
+    x = nodes[5]
+    nodes[5] = (x + (nodes[6] - x) / 3 if is_exact(x) else moved(x, 2**8))
+    with pytest.raises(NodeMismatch, match=r"^node 5, .* is not a root"):
+        spectral.weights(chain, nodes)
+
+
+def test_root_test_on_dyadic_integers_agrees_with_the_division():
+    # the earlier test divided |slope x| by the BigFloat 2^(prec - 1); the
+    # integer comparison must decide the same on nodes a few ulps off
+    roots = total = 0
+    for kind in (1, 2):
+        for n in (5, 12, 30):
+            p_top = trig_chain(kind, n).pair[0]
+            dp = p_top.derivative()
+            for precision in (64, 256):
+                for x in grids.nodes(trig_spec(kind, n, precision)):
+                    for y in (moved(x, k) for k in range(-6, 7)):
+                        value, slope = p_top(y), dp(y)
+                        expected = (abs(value) <= abs(slope * y)
+                                    / 2 ** (y.precision - 1))
+                        assert spectral._is_root(value, slope, y) == expected
+                        roots += expected
+                        total += 1
+    assert 0 < roots < total
 
 
 def test_duality_product_anchor():

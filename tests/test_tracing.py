@@ -3,9 +3,10 @@ it wraps by module, name and owning class, so a rename fails here and not
 in a later traced benchmark run."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
-from sturmion import cli, spectral, transforms
+from sturmion import Polynomial, cli, spectral, transforms
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,6 +37,11 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         assert cli.main(["verify", "--nmax", "1"]) == 0
         assert cli.main(["count", "--poly", "x^2-1", "--lo", "-2",
                          "--hi", "2"]) == 0
+        # chain takes both weights from one pass, so no command reaches
+        # dual_weights: call it once to see that its wrapper records a call
+        top = Polynomial.from_roots([0, 1, 2])
+        spectral.dual_weights(top, top.derivative() * Fraction(1, 3),
+                              [0, 1, 2])
     finally:
         tracer.uninstall()
     capsys.readouterr()
