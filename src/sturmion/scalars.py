@@ -7,6 +7,10 @@ that carries its precision in bits.  Every operation is one
 so two values of different precision combine at the larger one, rationals
 promote to BigFloat when mixed, and mpmath's global precision is never
 read or changed.
+
+mpmath is required, but it is imported only when the first floating value
+is made (a ``BigFloat``, ``cos_pi``, ``sin_pi`` or ``round_scaled``): the
+exact grids, root counting and the verification suite never load it.
 """
 
 from __future__ import annotations
@@ -16,10 +20,20 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partialmethod
 
-from mpmath.libmp import (
-    from_int, from_rational, mpf_abs, mpf_add, mpf_cmp, mpf_cos_pi, mpf_div,
-    mpf_hash, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift, mpf_sin_pi,
-    mpf_sub, round_nearest, to_str)
+_libmp_loaded = False
+
+
+def _libmp():
+    """Import the mpmath.libmp names this module uses, as its globals."""
+    global from_int, from_rational, mpf_abs, mpf_add, mpf_cmp, mpf_cos_pi
+    global mpf_div, mpf_hash, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int
+    global mpf_shift, mpf_sin_pi, mpf_sub, round_nearest, to_str
+    global _libmp_loaded
+    from mpmath.libmp import (
+        from_int, from_rational, mpf_abs, mpf_add, mpf_cmp, mpf_cos_pi,
+        mpf_div, mpf_hash, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift,
+        mpf_sin_pi, mpf_sub, round_nearest, to_str)
+    _libmp_loaded = True
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -42,6 +56,8 @@ class BigFloat:
                 f"precision must be >= {MIN_PRECISION} bits, got {precision}"
             )
         precision = int(precision)
+        if not _libmp_loaded:
+            _libmp()
         if isinstance(value, (int, Fraction)):
             mpf = mpf_div(from_int(value.numerator, precision, round_nearest),
                           from_int(value.denominator), precision, round_nearest)
@@ -52,6 +68,10 @@ class BigFloat:
             raise TypeError(f"cannot make a BigFloat from {value!r}")
         self._mpf_ = mpf
         self.precision = precision
+
+    def __reduce__(self):
+        # through __init__, so that unpickling binds the libmp names too
+        return BigFloat, (self._mpf_, self.precision)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -149,17 +169,23 @@ def dyadic(x: BigFloat) -> tuple[int, int]:
 
 def round_scaled(num: int, den: int, shift: int, precision: int) -> BigFloat:
     """num / (den * 2**shift), rounded once to nearest at ``precision`` bits."""
+    if not _libmp_loaded:
+        _libmp()
     return BigFloat(mpf_shift(from_rational(num, den, precision, round_nearest),
                               -shift), precision)
 
 
 def cos_pi(t: Fraction, precision: int = DEFAULT_PRECISION) -> BigFloat:
     """cos(pi*t) for rational t, evaluated at the requested precision."""
+    if not _libmp_loaded:
+        _libmp()
     return _of_pi_times(mpf_cos_pi, t, precision)
 
 
 def sin_pi(t: Fraction, precision: int = DEFAULT_PRECISION) -> BigFloat:
     """sin(pi*t) for rational t, evaluated at the requested precision."""
+    if not _libmp_loaded:
+        _libmp()
     return _of_pi_times(mpf_sin_pi, t, precision)
 
 
