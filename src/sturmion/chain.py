@@ -21,7 +21,6 @@ chain on such vectors, for any polynomial, repeated or complex roots too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Polynomial
@@ -44,13 +43,51 @@ class NonPositiveU(ChainError):
     """Some u_n <= 0 (interlacing violation, complex or multiple roots)."""
 
 
-@dataclass(frozen=True)
-class SturmChain:
+class _Record:
+    """A frozen value whose fields are the names in ``__slots__`` not
+    starting with ``_``: ``==``, ``hash`` and ``repr`` cover them, and
+    none can be assigned or deleted once ``__init__`` has set them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class SturmChain(_Record):
     """The top pair (P_{N+1}, P_N) of a chain with its (b, u)."""
 
-    pair: tuple   # (P_{N+1}, P_N)
-    b: tuple      # b_0..b_N
-    u: tuple      # u_1..u_N
+    __slots__ = ("pair", "b", "u")  # (P_{N+1}, P_N), b_0..b_N, u_1..u_N
+
+    def __init__(self, pair, b, u):
+        self._set(pair, b, u)
 
     @property
     def n(self) -> int:

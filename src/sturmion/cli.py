@@ -13,7 +13,6 @@ the working precision)."""
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -103,6 +102,7 @@ def _emit_json(envelope: dict, out) -> None:
 
 
 def _emit_chain_csv(payload: dict, out) -> None:
+    import csv  # only --format csv needs it
     writer = csv.writer(out)
     writer.writerow(["field", "index", "value"])
     for field in ("b", "u", "nodes", "primal_weights", "dual_weights"):

@@ -9,9 +9,9 @@ these into the family's (b_n, u_n) and states the truncation convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .chain import _Record
 from .spectral import JacobiMatrix, SpectralData
 
 
@@ -89,17 +89,13 @@ def _table_entry(fam, n: int):
 # Hahn
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hahn:
+class Hahn(_Record):
     """Monic Hahn family on the linear grid x_s = s, s = 0..N."""
 
-    alpha: Fraction
-    beta: Fraction
-    n_max: int
+    __slots__ = ("alpha", "beta", "n_max", "_table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+    def __init__(self, alpha, beta, n_max: int):
+        self._set(Fraction(alpha), Fraction(beta), n_max)
         _askey_table(self, lambda a_plus_c: a_plus_c)
 
     def _a(self, n: int):
@@ -123,18 +119,13 @@ class Hahn:
 # Racah (alpha fixed to -N-1 by the truncation condition)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Racah:
+class Racah(_Record):
     """Monic Racah family on the grid x_s = s (s + gamma + delta + 1)."""
 
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    n_max: int
+    __slots__ = ("beta", "gamma", "delta", "n_max", "_table")
 
-    def __post_init__(self):
-        for name in ("beta", "gamma", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, beta, gamma, delta, n_max: int):
+        self._set(Fraction(beta), Fraction(gamma), Fraction(delta), n_max)
         _askey_table(self, lambda a_plus_c: -a_plus_c)
 
     def node(self, s: int) -> Fraction:
@@ -183,18 +174,13 @@ class Racah:
 # q-Hahn
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QHahn:
+class QHahn(_Record):
     """Monic q-Hahn family on the exponential grid x_s = q^{-s}."""
 
-    a: Fraction
-    b: Fraction
-    q: Fraction
-    n_max: int
+    __slots__ = ("a", "b", "q", "n_max", "_table")
 
-    def __post_init__(self):
-        for name in ("a", "b", "q"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a, b, q, n_max: int):
+        self._set(Fraction(a), Fraction(b), Fraction(q), n_max)
         if not (0 < self.q < 1):
             raise ValueError(f"need 0 < q < 1, got {self.q}")
         _askey_table(self, lambda a_plus_c: 1 - a_plus_c)
@@ -242,8 +228,9 @@ class QHahn:
 # Chebyshev and ultraspherical
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChebyshevT:
+class ChebyshevT(_Record):
+    __slots__ = ()
+
     def recurrence(self, n: int):
         if n < 0:
             raise ValueError("index must be >= 0")
@@ -251,22 +238,22 @@ class ChebyshevT:
         return Fraction(0), u
 
 
-@dataclass(frozen=True)
-class ChebyshevU:
+class ChebyshevU(_Record):
+    __slots__ = ()
+
     def recurrence(self, n: int):
         if n < 0:
             raise ValueError("index must be >= 0")
         return Fraction(0), None if n == 0 else Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class Ultraspherical:
+class Ultraspherical(_Record):
     """Monic ultraspherical family with parameter lam."""
 
-    lam: Fraction
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
+    def __init__(self, lam):
+        self._set(Fraction(lam))
 
     def recurrence(self, n: int):
         if n == 0:

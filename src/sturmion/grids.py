@@ -12,10 +12,10 @@ rational backend on every grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
+from .chain import _Record
 from .poly import Polynomial
 from .scalars import DEFAULT_PRECISION, cos_pi
 from .spectral import _top_polys
@@ -45,27 +45,25 @@ class DegenerateGrid(GridError):
     """The requested parameters produce repeated nodes."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    kind: str
-    n: int
-    params: tuple = ()  # kind-specific, see PARAM_NAMES
-    precision: int = DEFAULT_PRECISION
+class GridSpec(_Record):
+    __slots__ = ("kind", "n", "params", "precision")  # params: PARAM_NAMES
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, kind: str, n: int, params: tuple = (),
+                 precision: int = DEFAULT_PRECISION):
+        if n < 0:
             raise ValueError("grid size N must be >= 0")
-        if self.kind == QUADRATIC:
-            (tau,) = self.params
+        if kind == QUADRATIC:
+            (tau,) = params
             if not tau > -1:
                 raise ValueError(f"quadratic grid needs tau > -1, got {tau}")
-        elif self.kind == EXPONENTIAL:
-            (q,) = self.params
+        elif kind == EXPONENTIAL:
+            (q,) = params
             if not (0 < q < 1):
                 raise ValueError(f"exponential grid needs 0 < q < 1, got {q}")
-        elif self.kind == ASKEY_WILSON:
-            if self.params[0] == 0:
+        elif kind == ASKEY_WILSON:
+            if params[0] == 0:
                 raise ValueError("Askey-Wilson grid needs q != 0, got 0")
+        self._set(kind, n, params, precision)
 
 
 def linear(n: int) -> GridSpec:

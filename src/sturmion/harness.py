@@ -8,12 +8,11 @@ never auto-corrected."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from . import families, grids, transforms
-from .chain import build_chain, sturmian_pair
+from .chain import _Record, build_chain, sturmian_pair
 from .poly import Polynomial
 from .scalars import scalar_str
 from .spectral import (
@@ -30,17 +29,15 @@ MISMATCH = "mismatch"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one verification: a status and, on mismatch, a witness
     (label, oracle value, candidate value)."""
 
-    name: str
-    grid: str
-    n_max: int
-    status: str
-    witness: tuple | None = None
-    notes: tuple = ()
+    __slots__ = ("name", "grid", "n_max", "status", "witness", "notes")
+
+    def __init__(self, name: str, grid: str, n_max: int, status: str,
+                 witness: tuple | None = None, notes: tuple = ()):
+        self._set(name, grid, n_max, status, witness, notes)
 
     def to_dict(self) -> dict:
         d = {

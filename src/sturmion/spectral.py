@@ -3,10 +3,9 @@ and Stieltjes continued fractions for finite orthogonal systems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import SturmChain, _exact, _step
+from .chain import SturmChain, _exact, _Record, _step
 from .poly import Polynomial
 from .scalars import dyadic, is_exact
 
@@ -31,45 +30,45 @@ class InsufficientMoments(SpectralError):
     pass
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
+class JacobiMatrix(_Record):
     """Tridiagonal spectral data: diagonal b_0..b_N, subdiagonal u_1..u_N."""
 
-    b: tuple
-    u: tuple
+    __slots__ = ("b", "u")
 
-    def __post_init__(self):
-        if len(self.u) != len(self.b) - 1:
+    def __init__(self, b, u):
+        if len(u) != len(b) - 1:
             raise ValueError("need len(u) == len(b) - 1")
-        for i, un in enumerate(self.u, start=1):
+        for i, un in enumerate(u, start=1):
             if not un > 0:
                 raise ValueError(f"u_{i} = {un} must be positive")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:
         return len(self.b) - 1
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(_Record):
     """Strictly increasing nodes with positive weights summing to one."""
 
-    nodes: tuple
-    weights: tuple
+    __slots__ = ("nodes", "weights")
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
+    def __init__(self, nodes, weights):
+        if len(nodes) != len(weights):
             raise ValueError("nodes and weights must have equal length")
-        for a, b in zip(self.nodes, self.nodes[1:]):
+        for a, b in zip(nodes, nodes[1:]):
             if not a < b:
                 raise ValueError("nodes must be strictly increasing")
-        for s, w in enumerate(self.weights):
+        for s, w in enumerate(weights):
             if not w > 0:
                 raise NonPositiveWeight(f"weight {w} at node {s}, "
-                                        f"{self.nodes[s]!r}, is not positive")
-        if all(is_exact(w) for w in self.weights):
-            if sum(self.weights) != 1:
+                                        f"{nodes[s]!r}, is not positive")
+        if all(is_exact(w) for w in weights):
+            if sum(weights) != 1:
                 raise ValueError("exact weights must sum to 1")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
 
 def jacobi_from_chain(chain: SturmChain) -> JacobiMatrix:

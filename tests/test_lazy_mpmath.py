@@ -34,16 +34,19 @@ def fresh(code: str, *args: str) -> str:
 
 RUN_CLI = """\
 import contextlib, hashlib, io, json, sys
-loaded = []
+before, loaded, new = set(sys.modules), [], []
+def mark():
+    loaded.append("mpmath" in sys.modules)
+    new.append(sorted(set(sys.modules) - before))
 import sturmion
-loaded.append("mpmath" in sys.modules)
+mark()
 import sturmion.cli
-loaded.append("mpmath" in sys.modules)
+mark()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = sturmion.cli.main(sys.argv[1:])
-loaded.append("mpmath" in sys.modules)
-print(json.dumps({"code": code, "loaded": loaded,
+mark()
+print(json.dumps({"code": code, "loaded": loaded, "new": new,
                   "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
 """
 
@@ -63,12 +66,29 @@ def test_exact_commands_never_import_mpmath(argv):
     assert doc["loaded"] == [False, False, False]
 
 
+TRIG = ["chain", "--grid", "trig1", "--n", "12"]
+
+
 def test_trig_chain_imports_mpmath_and_keeps_its_output():
-    argv = ["chain", "--grid", "trig1", "--n", "12"]
-    code, digest = next((c, d) for a, c, d in PINNED if a == argv)
-    doc = json.loads(fresh(RUN_CLI, *argv))
+    code, digest = next((c, d) for a, c, d in PINNED if a == TRIG)
+    doc = json.loads(fresh(RUN_CLI, *TRIG))
     assert doc["loaded"] == [False, False, True]
     assert (doc["code"], doc["sha256"]) == (code, digest)
+
+
+CSV = ["--format", "csv", "chain", "--grid", "trig1", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv", EXACT + [TRIG, CSV], ids=" ".join)
+def test_no_command_imports_dataclasses_or_inspect(argv):
+    """The record classes need neither, and only ``--format csv`` needs
+    csv: none of the three is new after ``import sturmion``, after ``import
+    sturmion.cli`` or after the command, except csv after a csv chain."""
+    doc = json.loads(fresh(RUN_CLI, *argv))
+    assert doc["code"] == 0
+    late = [{"dataclasses", "inspect", "csv"}.intersection(names)
+            for names in doc["new"]]
+    assert late == [set(), set(), {"csv"} if argv == CSV else set()]
 
 
 # every entry point that can make the first floating value of a process

@@ -3,6 +3,8 @@ the declared fields, no assignment after construction, positional and
 keyword construction, and validation with its exception types and
 messages."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -81,6 +83,12 @@ def test_fields_cannot_be_assigned_or_deleted(cls, kw, alt):
 def test_repr_names_the_class_and_its_fields(cls, kw, alt):
     fields = ", ".join(f"{k}={v!r}" for k, v in kw.items())
     assert repr(cls(**kw)) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, kw, alt", RECORDS, ids=IDS)
+def test_pickle_and_deepcopy_keep_the_value(cls, kw, alt):
+    x = cls(**kw)
+    assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
 
 
 def test_defaults():
