@@ -26,8 +26,7 @@ def run(version: str, *args: str) -> subprocess.CompletedProcess:
     exe = shutil.which(f"python{version}")
     if exe is None:
         pytest.skip(f"python{version} is not on PATH")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("STURMION_PRECISION", "PYTHONHOME")}
+    env = {k: v for k, v in os.environ.items() if k != "STURMION_PRECISION"}
     env.update(PYTHONPATH=str(SRC), PYENV_VERSION=version)
     return subprocess.run([exe, "-S", *args], env=env, capture_output=True,
                           timeout=300)
