@@ -10,6 +10,9 @@ import pytest
 
 from sturmion import cli
 
+COUNT_14 = ("x^14-7x^13+85/4x^12-37x^11+93/4x^10+32x^9-86x^8+126x^7"
+            "-235/2x^6+41x^5+33/4x^4-25x^3+117/4x^2-2x-15/2")
+
 PINNED = [
     (["verify", "--nmax", "4"], 0,
      "5d3bb700ff256c0802ca82909f0e7d6eacdcc2dfde89769b1a6d05ada983c113"),
@@ -46,6 +49,23 @@ PINNED = [
      "ebc7513e1ddecc348b35f9ba2cea35ff65efd6ebfc903e4c563b7b2fd04e3930"),
     (["count", "--poly", "3/2x^5-2x^3+1/2x", "--lo=-3/2", "--hi", "1"], 0,
      "f4ec28cb91eb44c446b2a4aabedddd56172777ed052e4887b8ea1e7b54d2c96f"),
+    # the reference verify run with two q values, and verify at the lowest
+    # precision the trig checks pass at
+    (["verify", "--nmax", "7", "--q", "1/2", "--q", "2/3"], 0,
+     "859a7f9367794d8979af286e3b2cfe71db10341cdbb3b4a62ecf9881fc83056c"),
+    (["--precision", "128", "verify", "--nmax", "4"], 0,
+     "45a68d1969a4bc67d7027f1f727a9c74d7744ee48252aa92824e4e1e8bb4eea0"),
+    # a half-integer tau, whose chain vectors carry large contents, and the
+    # Askey-Wilson and bi-lattice grids
+    (["chain", "--grid", "quad:tau=3/2", "--n", "40"], 0,
+     "7e1e4284fdc84627bdc4ec5a758b028e8d071a0c48569f580476b18f3dd93c69"),
+    (["chain", "--grid", "aw:q=1/2,c1=1,c2=1,c0=0", "--n", "20"], 0,
+     "88f1ecd2d1bde1e7556dc3e5d2e529951dfe8f6cad786db9b4c7d98e736b4645"),
+    (["chain", "--grid", "bi:c1=4,c2=-3,c0=0", "--n", "6"], 0,
+     "c2a10d709d312af2b114df3d292050ba2fbc1b19a2ffa5b46cb60496a0f51602"),
+    # degree 14: (x-1)^3 (x+1/2)^2 (x-3) (x^2+1)^2 (x^2-2) (x^2-2x+5)
+    (["count", "--poly", COUNT_14, "--lo=-2", "--hi", "2"], 0,
+     "8466edc961b5f9ccf6643d10f53ef78bdf68fcb061b3bb3ca963d935feca04e3"),
 ]
 
 

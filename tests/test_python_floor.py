@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from test_pinned_output import PINNED
+from test_pinned_output import COUNT_14, PINNED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 VERSIONS = ["3.10", "3.12", "3.13"]
 EXACT = [["verify", "--nmax", "4"],
          ["chain", "--grid", "quad:tau=2", "--n", "20"],
-         ["chain", "--grid", "exp:q=2/3", "--n", "12"]]
+         ["chain", "--grid", "exp:q=2/3", "--n", "12"],
+         ["count", "--poly", COUNT_14, "--lo=-2", "--hi", "2"]]
 
 
 def run(version: str, *args: str) -> subprocess.CompletedProcess:
