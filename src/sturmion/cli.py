@@ -13,7 +13,6 @@ the working precision)."""
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re

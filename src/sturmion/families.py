@@ -9,6 +9,7 @@ these into the family's (b_n, u_n) and states the truncation convention.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .chain import _Record
@@ -163,7 +164,7 @@ class Racah(_Record):
         for s in range(nn + 1):
             num = (poch(-nn, s) * poch(be + de + 1, s) * poch(ga + 1, s)
                    * poch(ga + de + 1, s) * poch((ga + de + 3) / 2, s))
-            den = (Fraction(_factorial(s)) * poch(ga + de + 2 + nn, s)
+            den = (Fraction(math.factorial(s)) * poch(ga + de + 2 + nn, s)
                    * poch(-be + ga + 1, s) * poch(de + 1, s)
                    * poch((ga + de + 1) / 2, s))
             ws.append(_checked_div(num, den, "Racah", s) / m)
@@ -321,7 +322,3 @@ def legendre_dual_coeffs(grid_kind: str, n_max: int, n: int):
         return Fraction(0), u
     raise UnsupportedFamily(f"no printed dual coefficients for {grid_kind!r}")
 
-
-def _factorial(n: int) -> int:
-    import math
-    return math.factorial(n)

@@ -8,6 +8,7 @@ never auto-corrected."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -166,14 +167,10 @@ def verify_linear(n_max: int) -> CheckReport:
     col.matrix(dual, partial(families.legendre_dual_coeffs, "linear", n_max),
                "*", "dual-form ")
 
-    nu = Fraction(
-        families._factorial(n_max) ** 2, families._factorial(2 * n_max))
     pw = primal_weights(chain, xs)
     for s, w in enumerate(pw.weights):
-        binom = Fraction(
-            families._factorial(n_max),
-            families._factorial(s) * families._factorial(n_max - s))
-        col.eq(f"w_{s}", w, nu * binom**2)
+        col.eq(f"w_{s}", w, Fraction(math.comb(n_max, s) ** 2,
+                                     math.comb(2 * n_max, n_max)))
 
     x = Polynomial.x()
     edge = x - Polynomial.constant(Fraction(n_max))

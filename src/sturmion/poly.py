@@ -1,14 +1,18 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored ascending: index i holds the coefficient of x**i.
-The zero polynomial is the empty coefficient tuple; otherwise the trailing
-coefficient is nonzero.  All operations are pure and values immutable.
+A polynomial is stored in one canonical form: integer numerators ``num``,
+ascending (index i holds x**i), over one denominator ``den``, with the
+trailing numerator nonzero, ``den > 0`` and ``gcd(*num, den) == 1``.  The
+zero polynomial is ``num == ()`` over 1.  Equal polynomials have equal
+fields, so ``==`` and ``hash`` compare them directly; ``coeffs`` is the
+``Fraction`` view.  Values are immutable, and each operation runs on the
+integers with one gcd normalization of its result.
 
-Evaluation runs one integer Horner loop over the cached cleared
-coefficients, with one denominator at the end: exactly at an ``int`` or
-``Fraction`` point, and in fixed point at a floating point, which is a
-dyadic rational, with one rounding to the point's precision.
-``from_roots`` multiplies integer linear factors.
+Evaluation is one integer Horner loop with one division by ``den`` at the
+end: exact at an ``int`` or ``Fraction`` point, and in fixed point at a
+floating point, which is a dyadic rational, with one rounding to the
+point's precision.  Division is pseudo-division, the one division that
+both ``divmod`` and the root counter's remainder sequence use.
 """
 
 from __future__ import annotations
@@ -19,20 +23,48 @@ from fractions import Fraction
 from .scalars import dyadic, is_exact, round_scaled
 
 
-def _is_zero(c) -> bool:
-    return c == 0
+def pseudo_divide(a, c) -> tuple[list, list]:
+    """(q, r) with lc^(deg a - deg c + 1) a = q c + r and deg r < deg c,
+    for integer vectors a and c and lc = c[-1]: division without a
+    fraction (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  q is empty and
+    r is a when deg a < deg c."""
+    q, r = [], list(a)
+    for j in range(len(a) - len(c), -1, -1):
+        t = r.pop()
+        q = [t] + [c[-1] * v for v in q]
+        r = [c[-1] * v for v in r]
+        for i, ci in enumerate(c[:-1]):
+            r[j + i] -= t * ci
+    return q, r
+
+
+def _poly(num, den=1) -> "Polynomial":
+    """The polynomial num / den, for integers num and den != 0."""
+    return object.__new__(Polynomial)._set(list(num), den)
 
 
 class Polynomial:
-    # _cleared, set on the first evaluation: (a_n..a_0, D) with integer
-    # a_i = c_i * D (the zero polynomial clears to (0,))
-    __slots__ = ("coeffs", "_cleared")
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        """The polynomial with ``int`` or ``Fraction`` coefficients coeffs,
+        ascending; any other coefficient raises ``TypeError``."""
+        cs = tuple(coeffs)
+        if not all(is_exact(c) for c in cs):
+            raise TypeError(f"cannot make a polynomial of {cs!r}: "
+                            "inexact coefficient")
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list, den: int) -> "Polynomial":
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(*num, den)
+        if den < 0:
+            g = -g
+        self.num = tuple(v // g for v in num) if g != 1 else tuple(num)
+        self.den = den // g
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -42,7 +74,7 @@ class Polynomial:
 
     @classmethod
     def x(cls) -> "Polynomial":
-        return cls((Fraction(0), Fraction(1)))
+        return _poly((0, 1))
 
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
@@ -60,49 +92,55 @@ class Polynomial:
             a, d = r.numerator, r.denominator
             out = [d * hi - a * lo for hi, lo in zip([0] + out, out + [0])]
             den *= d
-        return cls(tuple(Fraction(c, den) for c in out))
+        return _poly(out, den)
 
     # -- structure --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients a_0..a_n as ``Fraction``s."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [v * (den // self.den) for v in self.num]
+        b = [v * (den // other.den) for v in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
+        for i, v in enumerate(b):
+            a[i] += v
+        return _poly(a, den)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -110,42 +148,34 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _poly([-v for v in self.num], self.den)
 
     def __mul__(self, other):
+        """The product with a polynomial, or with an ``int`` or ``Fraction``;
+        any other factor raises ``TypeError``."""
         if not isinstance(other, Polynomial):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            other = Polynomial.constant(other)
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
+                out[i + j] += a * b
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        """Long division: self = q*other + r with deg r < deg other."""
+        """self = q*other + r with deg r < deg other, by one pseudo-division
+        of the numerators: with A = lc^k self.num = Q other.num + R, q is
+        Q other.den and r is R, both over self.den lc^k."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = Fraction(other.coeffs[-1])  # so that int / lead is exact
-        if len(rem) <= d:
-            return Polynomial(), Polynomial(rem)
-        q = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if _is_zero(c):
-                continue
-            f = c / lead
-            q[i - d] = f
-            for j in range(d + 1):
-                rem[i - d + j] = rem[i - d + j] - f * other.coeffs[j]
-        return Polynomial(q), Polynomial(rem[:d])
+        q, r = pseudo_divide(self.num, other.num)
+        den = self.den * other.num[-1] ** len(q)
+        return _poly([v * other.den for v in q], den), _poly(r, den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -153,34 +183,19 @@ class Polynomial:
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def _clear(self):
-        cs = self.coeffs or (0,)
-        if not all(is_exact(c) for c in cs):
-            raise TypeError(f"cannot evaluate {self!r}: inexact coefficient")
-        den = math.lcm(*(c.denominator for c in cs))
-        cleared = (tuple(c.numerator * (den // c.denominator)
-                         for c in reversed(cs)), den)
-        object.__setattr__(self, "_cleared", cleared)
-        return cleared
+        return _poly([i * v for i, v in enumerate(self.num) if i], self.den)
 
     def __call__(self, x):
-        """Horner evaluation on the cached cleared coefficients a_n..a_0, D.
+        """Horner evaluation on the numerators a_n..a_0 and the denominator D.
 
         At an ``int`` or ``Fraction`` x = p/q it sums a_i p^i q^(n-i) and
         returns one exact ``Fraction``.  At a floating x = m/2^e it runs the
         same loop in fixed point with f fraction bits, doubling f until the
         truncation error is below 2^-(prec+2) of the sum, and rounds the sum
         over D 2^f once to nearest at the precision of x: the value is
-        within one ulp of the polynomial's exact value at x.  A coefficient
-        that is not exact raises ``TypeError``.
+        within one ulp of the polynomial's exact value at x.
         """
-        try:
-            cleared = self._cleared
-        except AttributeError:
-            cleared = self._clear()
-        top_down, den = cleared
+        top_down, den = self.num[::-1] or (0,), self.den
         if is_exact(x):
             p, q = x.numerator, x.denominator
             acc, qk = top_down[0], 1
@@ -206,21 +221,21 @@ class Polynomial:
 
     def shift(self, h) -> "Polynomial":
         """p(x + h), by Horner over the polynomial ring."""
-        return self.compose(Polynomial((h, Fraction(1))))
+        return self.compose(Polynomial((h, 1)))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """p(inner(x))."""
+        """p(inner(x)): Horner on the numerators, over den once."""
         acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
+        for a in reversed(self.num):
+            acc = acc * inner + _poly((a,))
+        return _poly(acc.num, acc.den * self.den)
 
     def __repr__(self):
         if self.is_zero:
             return "Polynomial(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c == 0:
                 continue
             if i == 0:
                 terms.append(f"{c}")

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chain import SturmChain, _exact, _Record, _step
-from .poly import Polynomial
+from .chain import SturmChain, _Record, _step
+from .poly import Polynomial, _poly
 from .scalars import dyadic, is_exact
 
 
@@ -84,18 +84,22 @@ def generate_polys(jm: JacobiMatrix, upto: int) -> list[Polynomial]:
     """[P_0, ..., P_upto], 0 <= upto <= N+1, by the Euclidean chain's own
     step on primitive integer vectors, run upwards: P_{n+1} = (x - b_n) P_n
     - u_n P_{n-1} with f = c ud and g = a bd un, for P_n = A / a, P_{n-1} =
-    C / c, b_n = bn/bd, u_n = un/ud; (b, u) not exact raise ``TypeError``."""
+    C / c, b_n = bn/bd, u_n = un/ud.  Each P_n is its vector as it stands,
+    ``num`` = A over ``den`` = a; (b, u) not exact raise ``TypeError``."""
     return _top_polys(jm, upto, upto + 1)
 
 
 def _top_polys(jm: JacobiMatrix, upto: int, count: int) -> list[Polynomial]:
-    """``generate_polys(jm, upto)[-count:]``, making a ``Polynomial`` of
-    only those last vectors."""
+    """``generate_polys(jm, upto)[-count:]``: each of those last primitive
+    vectors A is the polynomial's ``num``, over ``den`` = A[-1]."""
     if upto < 0:
         raise ValueError(f"cannot generate up to degree {upto} < 0")
     if upto > jm.n + 1:
         raise ValueError("cannot generate beyond degree N+1")
-    b, u = _exact(jm.b, jm), (0,) + tuple(_exact(jm.u, jm))
+    b, u = tuple(jm.b), (0,) + tuple(jm.u)
+    if not all(is_exact(c) for c in b + u):
+        raise TypeError(f"cannot build a chain from {jm!r}: "
+                        "inexact coefficient")
     vecs = [[1], [1]]  # P_{-1}, which u_0 = 0 cancels, and P_0
     for n in range(upto):
         lower, a = vecs[-2:]
@@ -103,8 +107,7 @@ def _top_polys(jm: JacobiMatrix, upto: int, count: int) -> list[Polynomial]:
                           u[n].denominator)
         vecs.append(_step(lower[-1] * ud, a[-1] * bd * un, bn, bd, a,
                           lower + [0, 0])[0])
-    return [Polynomial(tuple(Fraction(v, vec[-1]) for v in vec))
-            for vec in vecs[1:][-count:]]
+    return [_poly(vec, vec[-1]) for vec in vecs[1:][-count:]]
 
 
 def _is_root(value, slope, x) -> bool:

@@ -84,7 +84,7 @@ def christoffel(jm: JacobiMatrix, a) -> tuple[JacobiMatrix, tuple]:
     nn = jm.n
     v_seq = _christoffel_multipliers(jm, a)
     p_nn, p_top = _top_polys(jm, nn + 1, 2)
-    divisor = Polynomial((-Fraction(a), Fraction(1)))
+    divisor = Polynomial((-a, 1))
     p_new, r = divmod(p_top - v_seq[nn] * p_nn, divisor)
     if not r.is_zero:
         raise TransformError("quotient construction left a remainder")

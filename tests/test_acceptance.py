@@ -5,6 +5,7 @@ Euclidean chain; trigonometric-grid claims are checked to 2^-200 at 256-bit
 working precision."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -103,12 +104,11 @@ def test_criterion_03_squared_binomial_weights():
     for n_max in range(1, 16):
         chain, xs = oracle(grids.linear(n_max))
         pw = primal_weights(chain, xs)
-        nu = Fraction(families._factorial(n_max) ** 2,
-                      families._factorial(2 * n_max))
+        nu = Fraction(math.factorial(n_max) ** 2,
+                      math.factorial(2 * n_max))
         for s, w in enumerate(pw.weights):
-            binom = Fraction(families._factorial(n_max),
-                             families._factorial(s)
-                             * families._factorial(n_max - s))
+            binom = Fraction(math.factorial(n_max),
+                             math.factorial(s) * math.factorial(n_max - s))
             assert w == nu * binom**2
     chain, xs = oracle(grids.linear(2))
     assert primal_weights(chain, xs).weights == \

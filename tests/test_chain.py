@@ -163,9 +163,9 @@ def test_int_coefficients_give_the_fraction_chain():
 
 
 def test_inexact_coefficient_raises_type_error():
-    top = Polynomial((BigFloat(Fraction(-1, 4)), 0, 1))  # x^2 - 1/4
+    # a chain's input is a Polynomial, which holds no floating coefficient
     with pytest.raises(TypeError, match="inexact coefficient"):
-        build_chain(top, Polynomial.x())
+        Polynomial((BigFloat(Fraction(-1, 4)), 0, 1))  # x^2 - 1/4
 
 
 @pytest.mark.parametrize("top, nxt, error, message", [

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic over the rationals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,39 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=7)
 polys = st.lists(rationals, min_size=0, max_size=6).map(
     lambda cs: Polynomial(tuple(cs)))
+
+
+coefficient_lists = st.lists(st.one_of(rationals, st.integers(-2**80, 2**80),
+                                       st.just(0)), max_size=8)
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert math.gcd(*p.num, p.den) == 1
+    assert not p.num or p.num[-1] != 0
+
+
+@given(coefficient_lists, polys)
+def test_canonical_form(cs, b):
+    p = Polynomial(cs)
+    results = [p, p + b, p - b, p * b, -p, p.derivative(), p.compose(b)]
+    if not b.is_zero:
+        results += divmod(p, b)
+    for r in results:
+        assert_canonical(r)
+    while cs and cs[-1] == 0:
+        cs = cs[:-1]
+    assert p.coeffs == tuple(Fraction(c) for c in cs)
+
+
+@given(polys, polys, st.lists(rationals, max_size=6))
+def test_equal_polynomials_have_equal_fields(a, b, roots):
+    linear = Polynomial((1,))
+    for r in roots:
+        linear = linear * Polynomial((-r, 1))
+    for p, q in ((Polynomial.from_roots(roots), linear), ((a + b) - b, a),
+                 (a * b, b * a)):
+        assert (p.num, p.den, hash(p)) == (q.num, q.den, hash(q))
 
 
 def test_trailing_zeros_are_stripped():
@@ -173,10 +207,13 @@ def test_floating_evaluation_near_and_at_a_root():
 
 
 def test_inexact_coefficient_is_not_evaluated():
-    p = Polynomial((Fraction(1), BigFloat(2)))
-    for x in (Fraction(1, 3), BigFloat(Fraction(1, 3))):
-        with pytest.raises(TypeError):
-            p(x)
+    # no polynomial holds a floating coefficient, so none is evaluated
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        Polynomial((Fraction(1), BigFloat(2)))
+    for p in (make(1, 1), Polynomial()):
+        for product in (lambda: p * BigFloat(2), lambda: BigFloat(2) * p):
+            with pytest.raises(TypeError, match="inexact coefficient"):
+                product()
 
 
 def test_from_roots_rejects_a_float_root():

@@ -153,24 +153,16 @@ def test_generate_polys_matches_reference_on_random_matrices(bu):
 @pytest.mark.parametrize("grid, n", [("linear", 12), ("exp:q=1/2", 8),
                                      ("quad:tau=1/2", 8)])
 def test_generate_polys_builds_each_p_n_from_its_primitive_vector(
-        grid, n, monkeypatch):
+        grid, n):
     # a primitive vector A of a monic P_n has the least common denominator
     # of P_n as its leading entry, the one denominator of P_n = A / A[-1];
     # without the content division the bit lengths grow like Fibonacci
     # numbers
     p = grids.characteristic_polynomial(grids.parse_grid(grid, n))
     jm = jacobi_from_chain(build_chain(*sturmian_pair(p)))
-    denominators = []
-
-    def recording(v, d):
-        denominators.append(d)
-        return Fraction(v, d)
-
-    monkeypatch.setattr(spectral, "Fraction", recording)
-    polys = generate_polys(jm, n + 1)
-    monkeypatch.undo()
-    assert denominators == [math.lcm(*(c.denominator for c in q.coeffs))
-                            for q in polys for _ in q.coeffs]
+    for q in generate_polys(jm, n + 1):
+        assert math.gcd(*q.num) == 1
+        assert q.den == q.num[-1]
 
 
 def test_generate_polys_rejects_negative_degree():
