@@ -5,8 +5,8 @@ ascending (index i holds x**i), over one denominator ``den``, with the
 trailing numerator nonzero, ``den > 0`` and ``gcd(*num, den) == 1``.  The
 zero polynomial is ``num == ()`` over 1.  Equal polynomials have equal
 fields, so ``==`` and ``hash`` compare them directly; ``coeffs`` is the
-``Fraction`` view.  Values are immutable, and each operation runs on the
-integers with one gcd normalization of its result.
+``Fraction`` view.  No operation changes a polynomial in place, and each
+runs on the integers with one gcd normalization of its result.
 
 Evaluation is one integer Horner loop with one division by ``den`` at the
 end: exact at an ``int`` or ``Fraction`` point, and in fixed point at a
@@ -41,6 +41,14 @@ def pseudo_divide(a, c) -> tuple[list, list]:
 def _poly(num, den=1) -> "Polynomial":
     """The polynomial num / den, for integers num and den != 0."""
     return object.__new__(Polynomial)._set(list(num), den)
+
+
+def _monic(vec) -> "Polynomial":
+    """vec / vec[-1] for a primitive integer vector vec with vec[-1] > 0,
+    which is already the canonical form: taken as it stands."""
+    p = object.__new__(Polynomial)
+    p.num, p.den = tuple(vec), vec[-1]
+    return p
 
 
 class Polynomial:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chain import SturmChain, _Record, _step
-from .poly import Polynomial, _poly
+from .poly import Polynomial, _monic
 from .scalars import dyadic, is_exact
 
 
@@ -107,7 +107,7 @@ def _top_polys(jm: JacobiMatrix, upto: int, count: int) -> list[Polynomial]:
                           u[n].denominator)
         vecs.append(_step(lower[-1] * ud, a[-1] * bd * un, bn, bd, a,
                           lower + [0, 0])[0])
-    return [_poly(vec, vec[-1]) for vec in vecs[1:][-count:]]
+    return [_monic(vec) for vec in vecs[1:][-count:]]
 
 
 def _is_root(value, slope, x) -> bool:
