@@ -66,6 +66,12 @@ PINNED = [
     # degree 14: (x-1)^3 (x+1/2)^2 (x-3) (x^2+1)^2 (x^2-2) (x^2-2x+5)
     (["count", "--poly", COUNT_14, "--lo=-2", "--hi", "2"], 0,
      "8466edc961b5f9ccf6643d10f53ef78bdf68fcb061b3bb3ca963d935feca04e3"),
+    # verify past the nmax of the benchmark ops, where every check runs on
+    # chains of a dozen and more entries
+    (["verify", "--nmax", "12", "--q", "1/2", "--q", "2/3"], 0,
+     "776de10c7de69525e763a592a6ba6805dcd10a3def71da6df0f442791a15f584"),
+    (["verify", "--nmax", "16"], 0,
+     "eed1331b58fb99a8c17acb7c861624ab925e1c3f9f4251e8b70dfaf8d729ccb5"),
 ]
 
 
