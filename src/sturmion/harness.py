@@ -3,27 +3,23 @@ each grid's characteristic polynomial is the ground truth, and every printed
 closed form is checked against it exactly.  A law on the grid nodes is
 checked as a polynomial identity modulo the characteristic polynomial
 P_{N+1}, whose simple roots are exactly the nodes, so no check reads a
-floating node.  Mismatches are reported with the first differing index and
-never auto-corrected."""
+floating node; w(x_s) is the measure of a Jacobi matrix iff its P_{N+1} is
+that polynomial and h_N - w P'_{N+1} P_N = 0 modulo it (Gauss quadrature).
+Mismatches are reported with the first differing index and never
+auto-corrected."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 
 from . import families, grids, transforms
 from .chain import _Record, build_chain, sturmian_pair
 from .poly import Polynomial
 from .scalars import scalar_str
-from .spectral import (
-    SpectralData,
-    check_orthogonality,
-    generate_polys,
-    jacobi_from_chain,
-    mirror_dual,
-    primal_weights,
-)
+from .spectral import _top_polys, jacobi_from_chain, mirror_dual, primal_weights
 
 EXACT = "exact_match"
 MISMATCH = "mismatch"
@@ -88,6 +84,17 @@ class _Collector:
         coefficient by coefficient, as "{label}, x^k of the remainder"."""
         for k, c in enumerate((poly % char).coeffs):
             self.eq(f"{label}, x^{k} of the remainder", Fraction(0), c)
+
+    def measure(self, label: str, jm, law: Polynomial, char: Polynomial):
+        """Require jm's measure to be law(x_s) on the roots of char: its
+        P_{N+1} = char, and h_N - law P'_{N+1} P_N = 0 modulo char."""
+        p_n, p_top = _top_polys(jm, jm.n + 1, 2)
+        for k, (c, t) in enumerate(zip_longest(char.coeffs, p_top.coeffs,
+                                               fillvalue=Fraction(0))):
+            self.eq(f"P_{jm.n + 1}, x^{k}", c, t)
+        h = math.prod(jm.u, start=Fraction(1))
+        self.zero_mod(label, Polynomial.constant(h)
+                      - law * char.derivative() * p_n, char)
 
     def skip(self, exc: Exception):
         self.skipped = True
@@ -172,16 +179,20 @@ def verify_linear(n_max: int) -> CheckReport:
         col.eq(f"w_{s}", w, Fraction(math.comb(n_max, s) ** 2,
                                      math.comb(2 * n_max, n_max)))
 
-    x = Polynomial.x()
-    edge = x - Polynomial.constant(Fraction(n_max))
-    left_out = edge * edge
-    right_out = x * x
-    polys = generate_polys(jm, n_max)
-    for n, p in enumerate(polys):
-        lhs = left_out * (p.shift(Fraction(1)) - p) \
-            + right_out * (p.shift(Fraction(-1)) - p)
-        rhs = Fraction(n * (n - 2 * n_max - 1)) * p
-        col.eq(f"difference-equation n={n}", rhs, lhs)
+    # the identity (x-N)^2 P_n(x+1) + x^2 P_n(x-1) = ((x-N)^2 + x^2 +
+    # n(n-2N-1)) P_n(x) has degree <= n+1, so x = 0..n+1 decide it
+    u, values = (0, *jm.u), []  # P_0(t)..P_N(t) at t = -1..N+2
+    for t in range(-1, n_max + 3):
+        vs = [Fraction(0), Fraction(1)]  # P_{-1}(t), P_0(t)
+        for n in range(n_max):
+            vs.append((t - jm.b[n]) * vs[-1] - u[n] * vs[-2])
+        values.append(vs[1:])
+    for n in range(n_max + 1):
+        for x in range(n + 2):
+            left, p, right = (values[i][n] for i in (x + 2, x + 1, x))
+            col.eq(f"difference-equation n={n} at x={x}",
+                   ((x - n_max) ** 2 + x * x + n * (n - 2 * n_max - 1)) * p,
+                   (x - n_max) ** 2 * left + x * x * right)
 
     return col.report("linear_hahn", _grid_label(spec), n_max)
 
@@ -228,11 +239,11 @@ def verify_quadratic_tau1(n_max: int) -> CheckReport:
 
 def verify_quadratic_tau2(n_max: int) -> CheckReport:
     """Grid s(s+2): the chain is the Christoffel transform at -1 of a Racah
-    system, and the transformed uniform measure has weights proportional to
-    x_s + 1."""
+    system, and the Christoffel transform at -1 of its mirror has the
+    measure (x_s + 1) / mass on the nodes."""
     col = _Collector()
     spec = grids.quadratic(Fraction(2), n_max)
-    _, jm = _oracle(spec)
+    chain, jm = _oracle(spec)
     xs = grids.nodes(spec)
 
     try:
@@ -247,17 +258,10 @@ def verify_quadratic_tau2(n_max: int) -> CheckReport:
 
     col.matrix(jm, _entries(transformed))
 
-    legendre = mirror_dual(jm)
-    lifted, _ = transforms.christoffel(legendre, Fraction(-1))
+    lifted, _ = transforms.christoffel(mirror_dual(jm), Fraction(-1))
     mass = sum((x + 1 for x in xs), start=Fraction(0))
-    weights = tuple((x + 1) / mass for x in xs)
-    polys = generate_polys(lifted, n_max)
-    offdiag, diag = check_orthogonality(polys, SpectralData(xs, weights))
-    col.eq("orthogonality off-diagonal residual", Fraction(0), offdiag)
-    h = Fraction(1)
-    for n in range(1, n_max + 1):
-        h *= lifted.u[n - 1]
-        col.eq(f"norm h_{n}", h, diag[n])
+    col.measure("w_s", lifted, Polynomial((1 / mass, 1 / mass)),
+                chain.pair[0])
 
     printed_mass = Fraction(n_max * (n_max + 1) * (2 * n_max + 7), 6)
     if printed_mass != mass:
@@ -319,14 +323,10 @@ def verify_trig(kind: int, n_max: int) -> CheckReport:
     chain, jm = _oracle(spec)
     col.matrix(jm, partial(families.legendre_dual_coeffs, spec.kind, n_max))
 
-    sin2 = Polynomial((Fraction(1), Fraction(0), Fraction(-1)))  # 1 - x^2
-    if kind == 1:
-        c, sin2k = Fraction(2, n_max + 1), sin2
-    else:
-        c, sin2k = Fraction(8, 3 * (n_max + 2)), sin2 * sin2
-    top, nxt = chain.pair
-    col.zero_mod("w_s", Polynomial.constant(chain.h_top)
-                 - sin2k * top.derivative() * nxt * c, top)
+    sin2 = Polynomial((1, 0, -1))  # 1 - x^2
+    law = (sin2 * Fraction(2, n_max + 1) if kind == 1
+           else sin2 * sin2 * Fraction(8, 3 * (n_max + 2)))
+    col.measure("w_s", jm, law, chain.pair[0])
 
     return col.report(f"trig_{'first' if kind == 1 else 'second'}",
                       _grid_label(spec), n_max)

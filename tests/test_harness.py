@@ -7,7 +7,7 @@ import pytest
 from sturmion import cli, grids, harness, scalars, transforms
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
-from sturmion.spectral import PoleHit
+from sturmion.spectral import JacobiMatrix, PoleHit, mirror_dual
 
 
 def test_duality_exact_on_rational_grids():
@@ -175,3 +175,102 @@ def test_aggregate_keeps_worst_status_witness_and_notes():
     assert rep.witness == ("exp:q=1/2 N=6 u_1", Fraction(3), Fraction(4))
     assert rep.notes == ("exp:q=1/2 N=1: agrees",
                          "exp:q=1/2 N=4: skipped: pole")
+
+
+def record_comparisons(monkeypatch):
+    """Every (label, oracle, candidate) that a collector compares, in order."""
+    seen = []
+    eq = harness._Collector.eq
+
+    def recording(self, label, oracle, candidate):
+        seen.append((label, oracle, candidate))
+        eq(self, label, oracle, candidate)
+
+    monkeypatch.setattr(harness._Collector, "eq", recording)
+    return seen
+
+
+def test_every_comparison_is_between_rationals(monkeypatch):
+    seen = record_comparisons(monkeypatch)
+    harness.run_all(5, (Fraction(1, 2), Fraction(2, 3)))
+    assert seen
+    for label, oracle, candidate in seen:
+        assert type(oracle) in (int, Fraction), label
+        assert type(candidate) in (int, Fraction), label
+
+
+def perturb_lifted(monkeypatch, entry: str, index: int):
+    """Change one b or u of the tau=2 lifted matrix: the Christoffel
+    transform at -1 of the mirror of the grid's chain."""
+    christoffel = transforms.christoffel
+
+    def perturbed(jm, a):
+        out, multipliers = christoffel(jm, a)
+        if a == -1 and jm == mirror_dual(harness._oracle(
+                grids.quadratic(Fraction(2), jm.n))[1]):
+            b, u = list(out.b), list(out.u)
+            (b if entry == "b" else u)[index] += Fraction(1, 7)
+            out = JacobiMatrix(tuple(b), tuple(u))
+        return out, multipliers
+
+    monkeypatch.setattr(transforms, "christoffel", perturbed)
+
+
+@pytest.mark.parametrize("entry, index",
+                         [("b", 0), ("b", -1), ("u", 0), ("u", -1)])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_tau2_measure_catches_a_changed_lifted_entry(monkeypatch, n, entry,
+                                                     index):
+    assert harness.verify_quadratic_tau2(n).status == harness.EXACT
+    perturb_lifted(monkeypatch, entry, index)
+    rep = harness.verify_quadratic_tau2(n)
+    assert rep.status == harness.MISMATCH
+    assert rep.witness[1] != rep.witness[2]
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_tau2_measure_catches_a_wrong_mass(monkeypatch, n):
+    """The law (x + 1) / mass with the printed mass in place of the true
+    one, which the report notes as a known discrepancy."""
+    printed = Fraction(n * (n + 1) * (2 * n + 7), 6)
+    mass = sum(x + 1 for x in grids.nodes(grids.quadratic(Fraction(2), n)))
+    assert printed != mass
+    measure = harness._Collector.measure
+
+    def printed_mass(self, label, jm, law, char):
+        measure(self, label, jm, law * (mass / printed), char)
+
+    monkeypatch.setattr(harness._Collector, "measure", printed_mass)
+    rep = harness.verify_quadratic_tau2(n)
+    assert rep.status == harness.MISMATCH
+    assert rep.witness[0].startswith("w_s, x^")
+
+
+def test_cli_verify_exits_1_on_a_changed_lifted_matrix(monkeypatch, capsys):
+    perturb_lifted(monkeypatch, "u", 0)
+    assert cli.main(["verify", "--nmax", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "quadratic_tau2_christoffel" in out and "mismatch" in out
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_difference_equation_catches_a_changed_u(monkeypatch, index):
+    """u_1..u_4 of the N=5 chain: u_5 enters only P_6, which the difference
+    equation on P_0..P_5 does not read."""
+    oracle = harness._oracle
+
+    def perturbed(spec):
+        chain, jm = oracle(spec)
+        u = list(jm.u)
+        u[index] += Fraction(1, 7)
+        return chain, JacobiMatrix(jm.b, tuple(u))
+
+    seen = record_comparisons(monkeypatch)
+    harness.verify_linear(5)
+    assert not [c for c in seen if c[0].startswith("difference-equation")
+                and c[1] != c[2]]
+    seen.clear()
+    monkeypatch.setattr(harness, "_oracle", perturbed)
+    harness.verify_linear(5)
+    assert [c for c in seen if c[0].startswith("difference-equation")
+            and c[1] != c[2]]

@@ -4,7 +4,6 @@ Each test runs in a fresh interpreter, because the import state of this
 one is shared by every other test."""
 
 import ast
-import hashlib
 import json
 import os
 import pickle

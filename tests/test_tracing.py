@@ -37,11 +37,16 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
         assert cli.main(["verify", "--nmax", "1"]) == 0
         assert cli.main(["count", "--poly", "x^2-1", "--lo", "-2",
                          "--hi", "2"]) == 0
-        # chain takes both weights from one pass, so no command reaches
-        # dual_weights: call it once to see that its wrapper records a call
+        # chain takes both weights from one pass and verify checks each
+        # measure by Gauss quadrature, so no command reaches dual_weights or
+        # check_orthogonality: call each once to see that its wrapper
+        # records a call
         top = Polynomial.from_roots([0, 1, 2])
         spectral.dual_weights(top, top.derivative() * Fraction(1, 3),
                               [0, 1, 2])
+        spectral.check_orthogonality(
+            [Polynomial.constant(1)],
+            spectral.SpectralData((Fraction(0),), (Fraction(1),)))
     finally:
         tracer.uninstall()
     capsys.readouterr()
