@@ -230,7 +230,7 @@ def parse_rational(text: str) -> Fraction:
 def scalar_json(x):
     """JSON-ready form of a scalar (rational string or BigFloat object)."""
     if isinstance(x, (int, Fraction)):
-        return scalar_str(Fraction(x))
+        return scalar_str(x)
     if isinstance(x, BigFloat):
         digits = int(x.precision * 0.302) + 2
         return {

@@ -3,6 +3,7 @@ and Stieltjes continued fractions for finite orthogonal systems."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .chain import SturmChain, _Record, _step
@@ -65,7 +66,10 @@ class SpectralData(_Record):
                 raise NonPositiveWeight(f"weight {w} at node {s}, "
                                         f"{nodes[s]!r}, is not positive")
         if all(is_exact(w) for w in weights):
-            if sum(weights) != 1:
+            # one integer sum over the common denominator
+            den = math.lcm(*(w.denominator for w in weights))
+            if sum(w.numerator * (den // w.denominator)
+                   for w in weights) != den:
                 raise ValueError("exact weights must sum to 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -111,52 +115,96 @@ def _top_polys(jm: JacobiMatrix, upto: int, count: int) -> list[Polynomial]:
 
 
 def _is_root(value, slope, x) -> bool:
-    """P_{N+1}(x) = value and P'_{N+1}(x) = slope: an exact node must be a
-    root, and a floating one within one ulp of a root by a Newton step."""
-    if is_exact(x):
-        return value == 0
+    """P_{N+1}(x) = value and P'_{N+1}(x) = slope at a floating node x:
+    x must be within one ulp of a root by a Newton step."""
     # |value| <= |slope x| / 2^(prec - 1), on the dyadic integers m / 2^e
     (mv, ev), (ms, es) = dyadic(value), dyadic(slope * x)
     return abs(mv) << (es + x.precision - 1) <= abs(ms) << ev
 
 
-def _weights(p_top: Polynomial, p_next: Polynomial, nodes, *laws) -> tuple:
-    """One ``SpectralData`` per law(P'_{N+1}(x_s), P_N(x_s)), from one pass
-    that evaluates each polynomial once per node and checks the root."""
+def _node_slopes(p_top: Polynomial, nodes):
+    """P'_{N+1}(x_s) = prod over t != s of (x_s - x_t), when the nodes are
+    exact and are the N+1 distinct roots of p_top, which one ``from_roots``
+    identity decides; else None.  With x_s = a_s / D over one common
+    denominator, each slope is one integer product over D^N: the
+    reciprocal of the barycentric weight of Berrut & Trefethen, SIAM Rev.
+    46 (2004)."""
+    if (not nodes or not all(is_exact(x) for x in nodes)
+            or Polynomial.from_roots(nodes) != p_top):
+        return None
+    d = math.lcm(*(x.denominator for x in nodes))
+    a = [x.numerator * (d // x.denominator) for x in nodes]
+    dn = d ** (len(a) - 1)
+    slopes = []
+    for s, a_s in enumerate(a):
+        diffs = [a_s - a_t for a_t in a]
+        diffs[s] = 1
+        prod = math.prod(diffs)
+        if not prod:  # a repeated node
+            return None
+        slopes.append(Fraction(prod, dn))
+    return slopes
+
+
+def _evaluated(p_top: Polynomial, p_next: Polynomial, nodes):
+    """(P'_{N+1}(x_s), P_N(x_s)) by Horner at each node, which must be a
+    root of p_top: exactly at an exact node, to one ulp at a floating one."""
     dp = p_top.derivative()
-    values = []
+    slopes, values = [], []
     for s, x in enumerate(nodes):
-        slope = dp(x)
-        if not _is_root(p_top(x), slope, x):
+        slope, value = dp(x), p_top(x)
+        if not (value == 0 if is_exact(x) else _is_root(value, slope, x)):
             raise NodeMismatch(
                 f"node {s}, {x!r}, is not a root of the top polynomial")
-        values.append((slope, p_next(x)))
-    return tuple(SpectralData(tuple(nodes), tuple(law(*v) for v in values))
-                 for law in laws)
+        slopes.append(slope)
+        values.append(p_next(x))
+    return slopes, values
 
 
-def _primal_law(chain: SturmChain):
-    h = chain.h_top
-    return lambda dp, p: h / (dp * p)
+def _weights(p_top: Polynomial, p_next: Polynomial, nodes, h=None,
+             dual=True) -> tuple:
+    """The primal weights h / (P'_{N+1}(x_s) P_N(x_s)) if h is given, then
+    the dual weights P_N(x_s) / P'_{N+1}(x_s) if ``dual``, as
+    ``SpectralData``.
 
-
-def _dual_law(dp, p):
-    return p / dp
+    Exact nodes that are the roots of p_top take their slopes from node
+    differences, and evaluate no polynomial when p_next = P'_{N+1}/(N+1),
+    as in every Sturmian pair: the primal weight is then (N+1) h / P'^2
+    and the dual one 1/(N+1).  Any other p_next is evaluated by Horner.
+    Floating nodes, and exact ones that are not the N+1 distinct roots,
+    take every value by Horner, with each node's root check."""
+    k = p_top.degree
+    slopes = _node_slopes(p_top, nodes)
+    if slopes is None:
+        slopes, values = _evaluated(p_top, p_next, nodes)
+    elif p_next == p_top.derivative() * Fraction(1, k):
+        values = None
+    else:
+        values = [p_next(x) for x in nodes]
+    laws = []
+    if h is not None:
+        kh = k * h
+        laws.append((kh / dp**2 for dp in slopes) if values is None else
+                    (h / (dp * p) for dp, p in zip(slopes, values)))
+    if dual:
+        laws.append([Fraction(1, k)] * k if values is None else
+                    (p / dp for dp, p in zip(slopes, values)))
+    return tuple(SpectralData(tuple(nodes), tuple(ws)) for ws in laws)
 
 
 def weights(chain: SturmChain, nodes) -> tuple[SpectralData, SpectralData]:
     """(primal, dual) weights from one pass over the nodes."""
-    return _weights(*chain.pair, nodes, _primal_law(chain), _dual_law)
+    return _weights(*chain.pair, nodes, chain.h_top)
 
 
 def primal_weights(chain: SturmChain, nodes) -> SpectralData:
     """w_s = h_N / (P'_{N+1}(x_s) P_N(x_s)) on the roots of the top polynomial."""
-    return _weights(*chain.pair, nodes, _primal_law(chain))[0]
+    return _weights(*chain.pair, nodes, chain.h_top, dual=False)[0]
 
 
 def dual_weights(p_top: Polynomial, p_next: Polynomial, nodes) -> SpectralData:
     """w*_s = P_N(x_s) / P'_{N+1}(x_s); constant 1/(N+1) for a Sturmian pair."""
-    return _weights(p_top, p_next, nodes, _dual_law)[0]
+    return _weights(p_top, p_next, nodes)[0]
 
 
 def duality_product_check(primal: SpectralData, dual: SpectralData,

@@ -118,12 +118,13 @@ def test_chain_weight_failure_exit_4(monkeypatch, capsys):
 
 
 
-@pytest.mark.parametrize("grid, n", [("linear", 9), ("exp:q=3/4", 7),
-                                     ("trig1", 12), ("trig2", 11)])
-def test_chain_evaluates_three_polynomials_per_node(grid, n, monkeypatch,
-                                                    capsys):
-    # both weights come from P'_{N+1}, P_{N+1} and P_N, each evaluated once
-    # at each node; nothing else in chain evaluates a polynomial
+@pytest.mark.parametrize("grid, n, evaluations", [
+    ("linear", 9, 0), ("exp:q=3/4", 7, 0), ("trig1", 12, 3 * 13),
+    ("trig2", 11, 3 * 12)])
+def test_chain_evaluates_polynomials_only_at_floating_nodes(
+        grid, n, evaluations, monkeypatch, capsys):
+    # exact weights come from node differences alone; floating ones from
+    # P'_{N+1}, P_{N+1} and P_N, each evaluated once at each node
     calls = []
     evaluate = Polynomial.__call__
 
@@ -134,7 +135,7 @@ def test_chain_evaluates_three_polynomials_per_node(grid, n, monkeypatch,
     monkeypatch.delenv("STURMION_PRECISION", raising=False)
     monkeypatch.setattr(Polynomial, "__call__", counting)
     assert cli.main(["chain", "--grid", grid, "--n", str(n)]) == 0
-    assert len(calls) == 3 * (n + 1)
+    assert len(calls) == evaluations
 
 
 @pytest.mark.parametrize("target, argv, named", [

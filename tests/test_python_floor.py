@@ -18,6 +18,8 @@ VERSIONS = ["3.10", "3.12", "3.13"]
 EXACT = [["verify", "--nmax", "4"],
          ["chain", "--grid", "quad:tau=2", "--n", "20"],
          ["chain", "--grid", "exp:q=2/3", "--n", "12"],
+         ["chain", "--grid", "exp:q=1/2", "--n", "40"],
+         ["chain", "--grid", "linear", "--n", "150"],
          ["count", "--poly", COUNT_14, "--lo=-2", "--hi", "2"]]
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sturmion import families, grids, spectral
+from sturmion import families, grids, spectral, transforms
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
 from sturmion.scalars import BigFloat, dyadic, is_exact, sin_pi, to_fraction
@@ -301,6 +301,67 @@ def test_one_pass_names_the_moved_node(grid):
     nodes[5] = (x + (nodes[6] - x) / 3 if is_exact(x) else moved(x, 2**8))
     with pytest.raises(NodeMismatch, match=r"^node 5, .* is not a root"):
         spectral.weights(chain, nodes)
+
+
+def test_exact_nodes_evaluate_a_non_sturmian_p_next_by_horner(monkeypatch):
+    # the Christoffel transform at -1 keeps P_{N+1} and changes P_N, so the
+    # slopes still come from node differences and P_N alone is evaluated
+    n = 6
+    chain, nodes = linear_setup(n)
+    jm, _ = transforms.christoffel(jacobi_from_chain(chain), Fraction(-1))
+    p_next, p_top = generate_polys(jm, n + 1)[-2:]
+    assert p_top == chain.pair[0]
+    assert p_next != p_top.derivative() * Fraction(1, n + 1)
+    pair_chain = build_chain(p_top, p_next)
+    dp, h = p_top.derivative(), pair_chain.h_top
+    expected = ([h / (dp(x) * p_next(x)) for x in nodes],
+                [p_next(x) / dp(x) for x in nodes])
+    evaluated = []
+    evaluate = Polynomial.__call__
+
+    def counting(self, x):
+        evaluated.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Polynomial, "__call__", counting)
+    primal, dual = spectral.weights(pair_chain, nodes)
+    assert evaluated == [p_next] * (n + 1)
+    assert list(primal.weights) == expected[0]
+    assert list(dual.weights) == expected[1]
+
+
+@pytest.mark.parametrize("nodes, error, message", [
+    ([0, 0, 2], ValueError, "nodes must be strictly increasing"),
+    ([0, 1, 2, 2], ValueError, "nodes must be strictly increasing"),
+    ([2, 1, 0], ValueError, "nodes must be strictly increasing"),
+    ([1, 2, 0], ValueError, "nodes must be strictly increasing"),
+    ([0, 1], ValueError, "exact weights must sum to 1"),
+    ([], ValueError, "exact weights must sum to 1"),
+    ([0, 1, 2, 3], NodeMismatch,
+     "node 3, Fraction(3, 1), is not a root of the top polynomial"),
+])
+def test_exact_nodes_that_are_not_the_roots_raise_as_horner_does(
+        nodes, error, message):
+    # node differences would give a repeated node a zero slope, so lists
+    # that are not the distinct roots take the Horner path, and unsorted
+    # roots pass the identity: each fails the root check or one of
+    # SpectralData's checks, never with a ZeroDivisionError
+    chain, _ = linear_setup(2)
+    nodes = [Fraction(x) for x in nodes]
+    for call in (lambda: spectral.weights(chain, nodes),
+                 lambda: primal_weights(chain, nodes),
+                 lambda: dual_weights(*chain.pair, nodes)):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_exact_weight_sum_is_checked_exactly():
+    nodes = (Fraction(0), Fraction(1), Fraction(2))
+    third = Fraction(1, 3)
+    SpectralData(nodes, (third, Fraction(1, 2), Fraction(1, 6)))
+    with pytest.raises(ValueError, match="^exact weights must sum to 1$"):
+        SpectralData(nodes, (third, third, third + Fraction(1, 2**4000)))
 
 
 def test_root_test_on_dyadic_integers_agrees_with_the_division():
