@@ -1,18 +1,19 @@
 """Proposition-by-proposition verification: the Euclidean chain built from
-each grid's characteristic polynomial is the ground truth, and every printed
-closed form is checked against it exactly.  A law on the grid nodes is
-checked as a polynomial identity modulo the characteristic polynomial
-P_{N+1}, whose simple roots are exactly the nodes, so no check reads a
-floating node; w(x_s) is the measure of a Jacobi matrix iff its P_{N+1} is
-that polynomial and h_N - w P'_{N+1} P_N = 0 modulo it (Gauss quadrature).
-Mismatches are reported with the first differing index and never
-auto-corrected."""
+each grid's characteristic polynomial, once per grid in a run, is the ground
+truth, and every printed closed form is checked against it exactly.  A law
+on the grid nodes is checked as a polynomial identity modulo the
+characteristic polynomial P_{N+1}, whose simple roots are exactly the nodes,
+so no check reads a floating node; w(x_s) is the measure of a Jacobi matrix
+iff its P_{N+1} is that polynomial and h_N - w P'_{N+1} P_N = 0 modulo it
+(Gauss quadrature).  One routine checks every weight law this way: the trig
+sine laws, the tau=2 law and the uniform dual law 1/(N+1) on the mirror.
+Mismatches name the first differing index and are never auto-corrected."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import zip_longest
 
 from . import families, grids, transforms
@@ -78,23 +79,20 @@ class _Collector:
             if n >= 1:
                 self.eq(f"{prefix}u{star}_{n}", jm.u[n - 1], u)
 
-    def zero_mod(self, label: str, poly: Polynomial, char: Polynomial):
-        """Require poly to vanish on every root of the squarefree char, that
-        is poly = 0 modulo char; a nonzero remainder is compared with 0
-        coefficient by coefficient, as "{label}, x^k of the remainder"."""
-        for k, c in enumerate((poly % char).coeffs):
-            self.eq(f"{label}, x^{k} of the remainder", Fraction(0), c)
-
     def measure(self, label: str, jm, law: Polynomial, char: Polynomial):
-        """Require jm's measure to be law(x_s) on the roots of char: its
-        P_{N+1} = char, and h_N - law P'_{N+1} P_N = 0 modulo char."""
+        """Require jm's measure to be law(x_s) on the roots of the squarefree
+        char: its P_{N+1} = char (walked as "P_{N+1}, x^k" only if the two
+        differ), and h_N - law P'_{N+1} P_N = 0 modulo char, each coefficient
+        of the remainder compared with 0 as "{label}, x^k of the remainder"."""
         p_n, p_top = _top_polys(jm, jm.n + 1, 2)
-        for k, (c, t) in enumerate(zip_longest(char.coeffs, p_top.coeffs,
-                                               fillvalue=Fraction(0))):
-            self.eq(f"P_{jm.n + 1}, x^{k}", c, t)
+        if p_top != char:
+            for k, (c, t) in enumerate(zip_longest(
+                    char.coeffs, p_top.coeffs, fillvalue=Fraction(0))):
+                self.eq(f"P_{jm.n + 1}, x^{k}", c, t)
         h = math.prod(jm.u, start=Fraction(1))
-        self.zero_mod(label, Polynomial.constant(h)
-                      - law * char.derivative() * p_n, char)
+        rest = Polynomial.constant(h) - law * char.derivative() * p_n % char
+        for k, c in enumerate(rest.coeffs):
+            self.eq(f"{label}, x^{k} of the remainder", Fraction(0), c)
 
     def skip(self, exc: Exception):
         self.skipped = True
@@ -140,19 +138,22 @@ def _entries(jm):
     return lambda n: (jm.b[n], jm.u[n - 1] if n else 0)
 
 
+@cache
 def _oracle(spec: grids.GridSpec):
     """Euclidean chain of the Sturmian pair of the grid's characteristic
-    polynomial and its Jacobi matrix."""
+    polynomial and its Jacobi matrix, cached until ``run_all`` ends."""
     chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
     return chain, jacobi_from_chain(chain)
 
 
 def verify_legendre_duality(spec: grids.GridSpec) -> CheckReport:
-    """Dual weights w*_s = P_N(x_s) / P'_{N+1}(x_s) of the Sturmian pair
-    equal the constant 1/(N+1): (N+1) P_N - P'_{N+1} = 0 modulo P_{N+1}."""
+    """Legendre duality: the mirror of the chain has the uniform measure,
+    the dual weights w*_s = P_N(x_s) / P'_{N+1}(x_s) = 1/(N+1), checked on
+    the mirror matrix by the Gauss-quadrature identity of every weight law."""
     col = _Collector()
-    top, nxt = sturmian_pair(grids.characteristic_polynomial(spec))
-    col.zero_mod("w*_s", nxt * Fraction(spec.n + 1) - top.derivative(), top)
+    chain, jm = _oracle(spec)
+    col.measure("w*_s", mirror_dual(jm),
+                Polynomial.constant(Fraction(1, spec.n + 1)), chain.pair[0])
     return col.report("legendre_duality", _grid_label(spec), spec.n)
 
 
@@ -348,29 +349,27 @@ def run_all(n_max: int, q_list=(Fraction(1, 2),)):
     q_list = tuple(Fraction(q) for q in q_list)
     ns = range(1, n_max + 1)
 
-    duality_specs = []
-    for n in ns:
-        duality_specs.append(grids.linear(n))
-        duality_specs.append(grids.quadratic(Fraction(1), n))
-        duality_specs.append(grids.quadratic(Fraction(2), n))
-        for q in q_list:
-            duality_specs.append(grids.exponential(q, n))
-        duality_specs.append(grids.trig_first(n))
-        duality_specs.append(grids.trig_second(n))
-
-    return [
-        _aggregate("legendre_duality", "all", n_max,
-                   [verify_legendre_duality(s) for s in duality_specs]),
-        _aggregate("linear_hahn", "linear", n_max,
-                   [verify_linear(n) for n in ns]),
-        _aggregate("quadratic_tau1_racah", "quad:tau=1", n_max,
-                   [verify_quadratic_tau1(n) for n in ns]),
-        _aggregate("quadratic_tau2_christoffel", "quad:tau=2", n_max,
-                   [verify_quadratic_tau2(n) for n in ns]),
-        _aggregate("exponential_qhahn", "exp", n_max,
-                   [verify_exponential(q, n) for q in q_list for n in ns]),
-        _aggregate("trig_first", "trig1", n_max,
-                   [verify_trig(1, n) for n in ns]),
-        _aggregate("trig_second", "trig2", n_max,
-                   [verify_trig(2, n) for n in ns]),
-    ]
+    duality_specs = [spec for n in ns for spec in (
+        grids.linear(n), grids.quadratic(Fraction(1), n),
+        grids.quadratic(Fraction(2), n),
+        *(grids.exponential(q, n) for q in q_list),
+        grids.trig_first(n), grids.trig_second(n))]
+    try:
+        return [
+            _aggregate("legendre_duality", "all", n_max,
+                       [verify_legendre_duality(s) for s in duality_specs]),
+            _aggregate("linear_hahn", "linear", n_max,
+                       [verify_linear(n) for n in ns]),
+            _aggregate("quadratic_tau1_racah", "quad:tau=1", n_max,
+                       [verify_quadratic_tau1(n) for n in ns]),
+            _aggregate("quadratic_tau2_christoffel", "quad:tau=2", n_max,
+                       [verify_quadratic_tau2(n) for n in ns]),
+            _aggregate("exponential_qhahn", "exp", n_max,
+                       [verify_exponential(q, n) for q in q_list for n in ns]),
+            _aggregate("trig_first", "trig1", n_max,
+                       [verify_trig(1, n) for n in ns]),
+            _aggregate("trig_second", "trig2", n_max,
+                       [verify_trig(2, n) for n in ns]),
+        ]
+    finally:
+        _oracle.cache_clear()

@@ -7,7 +7,8 @@ import pytest
 from sturmion import cli, grids, harness, scalars, transforms
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
-from sturmion.spectral import JacobiMatrix, PoleHit, mirror_dual
+from sturmion.spectral import (JacobiMatrix, PoleHit, jacobi_from_chain,
+                               mirror_dual)
 
 
 def test_duality_exact_on_rational_grids():
@@ -24,6 +25,85 @@ def test_duality_exact_on_trig_grids():
         rep = harness.verify_legendre_duality(spec)
         assert rep.status == harness.EXACT
         assert rep.witness is None
+
+
+DUALITY_SPECS = [grids.linear(4), grids.quadratic(Fraction(1), 4),
+                 grids.quadratic(Fraction(2), 4),
+                 grids.exponential(Fraction(1, 2), 4), grids.trig_first(4),
+                 grids.trig_second(4)]
+
+
+@pytest.mark.parametrize("entry, index",
+                         [("b", 0), ("b", -1), ("u", 0), ("u", -1)])
+@pytest.mark.parametrize("spec", DUALITY_SPECS, ids=harness._grid_label)
+def test_duality_catches_a_changed_mirror_entry(monkeypatch, spec, entry,
+                                                index):
+    """b*_0, b*_N, u*_1 or u*_N of the mirror moved by 1/7."""
+    assert harness.verify_legendre_duality(spec).status == harness.EXACT
+
+    def perturbed(jm):
+        dual = mirror_dual(jm)
+        b, u = list(dual.b), list(dual.u)
+        (b if entry == "b" else u)[index] += Fraction(1, 7)
+        return JacobiMatrix(tuple(b), tuple(u))
+
+    monkeypatch.setattr(harness, "mirror_dual", perturbed)
+    rep = harness.verify_legendre_duality(spec)
+    assert rep.status == harness.MISMATCH
+    assert rep.witness[1] != rep.witness[2]
+
+
+def test_run_all_builds_each_oracle_once(monkeypatch):
+    """One characteristic polynomial and one chain per spec: 7 N values
+    times linear, quad tau=1 and 2, two exp q and trig1 and 2; a repeated q
+    is the same spec and adds no build."""
+    calls = {"char": 0, "chain": 0}
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(grids, "characteristic_polynomial",
+                        counted("char", grids.characteristic_polynomial))
+    monkeypatch.setattr(harness, "build_chain",
+                        counted("chain", harness.build_chain))
+    for q_list in ((Fraction(1, 2), Fraction(2, 3)),
+                   (Fraction(1, 2), Fraction(2, 3), Fraction(2, 3))):
+        harness._oracle.cache_clear()
+        calls.update(char=0, chain=0)
+        harness.run_all(7, q_list)
+        assert calls == {"char": 49, "chain": 49}
+
+
+def test_run_all_leaves_no_cached_oracle(monkeypatch):
+    harness.run_all(2)
+    assert harness._oracle.cache_info().currsize == 0
+
+    def failing(n_max):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(harness, "verify_quadratic_tau2", failing)
+    with pytest.raises(RuntimeError):
+        harness.run_all(2)
+    assert harness._oracle.cache_info().currsize == 0
+
+
+def test_measure_names_a_differing_characteristic_polynomial():
+    """A matrix whose P_{N+1} is not char: the witness is the first
+    differing coefficient, before any remainder is compared."""
+    chain = build_chain(*sturmian_pair(
+        grids.characteristic_polynomial(grids.linear(3))))
+    jm = jacobi_from_chain(chain)
+    moved = JacobiMatrix(jm.b[:-1] + (jm.b[-1] + 1,), jm.u)
+    col = harness._Collector()
+    col.measure("w_s", moved, Polynomial.constant(Fraction(1, 4)),
+                chain.pair[0])
+    rep = col.report("demo", "linear", 3)
+    assert rep.status == harness.MISMATCH
+    label, oracle, candidate = rep.witness
+    assert label.startswith("P_4, x^") and oracle != candidate
 
 
 def test_linear_report():
@@ -64,16 +144,16 @@ def test_trig_reports():
 
 
 def _sine_law_report(grid, n, c, k):
-    """The trig weight law h_N - c (1 - x^2)^k P'_{N+1} P_N modulo P_{N+1},
-    compared with zero by the collector that verify_trig uses."""
+    """The trig weight law c (1 - x^2)^k on the chain's matrix: the
+    remainder of h_N - law P'_{N+1} P_N modulo P_{N+1} that the collector's
+    measure compares with zero, as verify_trig does."""
     chain = build_chain(*sturmian_pair(
         grids.characteristic_polynomial(grid(n))))
-    top, nxt = chain.pair
-    law = top.derivative() * nxt * c
+    law = Polynomial.constant(c)
     for _ in range(k):
         law = law * Polynomial((Fraction(1), Fraction(0), Fraction(-1)))
     col = harness._Collector()
-    col.zero_mod("w_s", Polynomial.constant(chain.h_top) - law, top)
+    col.measure("w_s", jacobi_from_chain(chain), law, chain.pair[0])
     return col.report("demo", grid(n).kind, n)
 
 

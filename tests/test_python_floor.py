@@ -16,6 +16,7 @@ from test_pinned_output import COUNT_14, PINNED
 SRC = Path(__file__).resolve().parents[1] / "src"
 VERSIONS = ["3.10", "3.12", "3.13"]
 EXACT = [["verify", "--nmax", "4"],
+         ["verify", "--nmax", "7", "--q", "1/2", "--q", "2/3"],
          ["chain", "--grid", "quad:tau=2", "--n", "20"],
          ["chain", "--grid", "exp:q=2/3", "--n", "12"],
          ["chain", "--grid", "exp:q=1/2", "--n", "40"],
