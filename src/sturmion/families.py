@@ -1,19 +1,19 @@
 """Closed-form data for the classical families under test: Hahn, Racah,
 q-Hahn, Chebyshev T/U and ultraspherical.
 
-All recurrence coefficients are in monic form and all weights are exact
-rationals.  Hahn, Racah and q-Hahn give only their closed-form A_n and C_n
-and the affine map from A_n + C_n to b_n; one sweep, `_askey_table`, turns
-these into the family's (b_n, u_n) and states the truncation convention.
+All recurrence coefficients are exact and monic.  Hahn, Racah and q-Hahn
+give only their closed-form A_n and C_n and the affine map from A_n + C_n
+to b_n; one sweep, `_askey_table`, turns these into the family's (b_n, u_n)
+and states the truncation convention.  The Racah and q-Hahn weights are the
+Gauss weights of each family's own matrix on its nodes.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .chain import _Record
-from .spectral import JacobiMatrix, SpectralData
+from .chain import SturmChain, _Record
+from .spectral import JacobiMatrix, SpectralData, _top_polys, primal_weights
 
 
 class FamilyError(Exception):
@@ -34,24 +34,6 @@ class DenominatorZero(FamilyError):
 
 class UnsupportedFamily(FamilyError):
     pass
-
-
-def poch(x, n: int) -> Fraction:
-    """Pochhammer symbol (x)_n = x (x+1) ... (x+n-1)."""
-    out = Fraction(1)
-    x = Fraction(x)
-    for k in range(n):
-        out *= x + k
-    return out
-
-
-def qpoch(x, q, n: int) -> Fraction:
-    """q-Pochhammer symbol (x; q)_n = prod_{k<n} (1 - x q^k)."""
-    out = Fraction(1)
-    x, q = Fraction(x), Fraction(q)
-    for k in range(n):
-        out *= 1 - x * q**k
-    return out
 
 
 def _checked_div(num, den, family, index):
@@ -148,27 +130,8 @@ class Racah(_Record):
         """(b_n, u_n) for 0 <= n <= N, with b_n = -A_n - C_n."""
         return _table_entry(self, n)
 
-    def mass(self) -> Fraction:
-        be, ga, de, nn = self.beta, self.gamma, self.delta, self.n_max
-        den = poch(1 + ga - be, nn) * poch(de + 1, nn)
-        if den == 0:
-            raise DenominatorZero("Racah", "mass")
-        return poch(-be, nn) * poch(ga + de + 2, nn) / den
-
     def weights(self) -> SpectralData:
-        be, ga, de, nn = self.beta, self.gamma, self.delta, self.n_max
-        m = self.mass()
-        if m == 0:
-            raise DenominatorZero("Racah", "mass is zero")
-        ws = []
-        for s in range(nn + 1):
-            num = (poch(-nn, s) * poch(be + de + 1, s) * poch(ga + 1, s)
-                   * poch(ga + de + 1, s) * poch((ga + de + 3) / 2, s))
-            den = (Fraction(math.factorial(s)) * poch(ga + de + 2 + nn, s)
-                   * poch(-be + ga + 1, s) * poch(de + 1, s)
-                   * poch((ga + de + 1) / 2, s))
-            ws.append(_checked_div(num, den, "Racah", s) / m)
-        return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
+        return _gauss_weights(self)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +169,8 @@ class QHahn(_Record):
         """(b_n, u_n) for 0 <= n <= N, with b_n = 1 - A_n - C_n."""
         return _table_entry(self, n)
 
-    def mass(self) -> Fraction:
-        a, b, q, nn = self.a, self.b, self.q, self.n_max
-        den = qpoch(b * q, q, nn) * (a * q) ** nn
-        if den == 0:
-            raise DenominatorZero("QHahn", "mass")
-        return qpoch(a * b * q**2, q, nn) / den
-
     def weights(self) -> SpectralData:
-        a, b, q, nn = self.a, self.b, self.q, self.n_max
-        m = self.mass()
-        ws = []
-        for s in range(nn + 1):
-            num = qpoch(a * q, q, s) * qpoch(q ** (-nn), q, s)
-            den = qpoch(q, q, s) * qpoch(q ** (-nn) / b, q, s) * (a * b * q) ** s
-            ws.append(_checked_div(num, den, "QHahn", s) / m)
-        # exponential nodes increase with s already
-        return SpectralData(tuple(self.node(s) for s in range(nn + 1)), tuple(ws))
+        return _gauss_weights(self)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +222,17 @@ def jacobi_matrix(fam, n_max: int) -> JacobiMatrix:
         if n >= 1:
             u.append(un)
     return JacobiMatrix(tuple(b), tuple(u))
+
+
+def _gauss_weights(fam) -> SpectralData:
+    """Gauss weights h_N / (P'_{N+1}(x_s) P_N(x_s)) of fam's own matrix at
+    its nodes x_s, s = 0..N (Gautschi 2004, sec. 1.4); spectral checks that
+    they are the roots of P_{N+1} and that the weights sum to 1."""
+    nn = fam.n_max
+    jm = jacobi_matrix(fam, nn)
+    p_next, p_top = _top_polys(jm, nn + 1, 2)
+    return primal_weights(SturmChain((p_top, p_next), jm.b, jm.u),
+                          [fam.node(s) for s in range(nn + 1)])
 
 
 # ---------------------------------------------------------------------------

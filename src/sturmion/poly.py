@@ -115,12 +115,6 @@ class Polynomial:
         return len(self.num) - 1
 
     @property
-    def leading(self):
-        if not self.num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
-    @property
     def is_zero(self) -> bool:
         return not self.num
 

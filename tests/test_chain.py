@@ -45,7 +45,7 @@ def reference_chain(p_top, p_next):
     while polys[-1].degree > 0:
         q, r = divmod(polys[-2], polys[-1])
         b_rev.append(-q.coeffs[0])
-        u_rev.append(-r.leading)
+        u_rev.append(-r.coeffs[-1])
         polys.append(r * (Fraction(-1) / u_rev[-1]))
     b_rev.append(-polys[-2].coeffs[0])
     return polys, tuple(reversed(b_rev)), tuple(reversed(u_rev))
@@ -56,7 +56,7 @@ def reference_count_roots(p, a, b):
     remainder sequence normalized to leading coefficient +-1."""
     seq = [p, p.derivative()]
     while not (r := seq[-2] % seq[-1]).is_zero:
-        seq.append(r * (Fraction(-1) / abs(r.leading)))
+        seq.append(r * (Fraction(-1) / abs(r.coeffs[-1])))
     g = seq[-1]
     if g.degree > 0:
         seq = [divmod(s, g)[0] for s in seq]

@@ -8,27 +8,13 @@ import pytest
 from sturmion import families, grids
 from sturmion.chain import build_chain, sturmian_pair
 from sturmion.poly import Polynomial
-from sturmion.spectral import (NonPositiveWeight, check_orthogonality,
-                               generate_polys, jacobi_from_chain, mirror_dual)
+from sturmion.spectral import (check_orthogonality, generate_polys,
+                               jacobi_from_chain, mirror_dual)
 
 
 def oracle(spec):
     chain = build_chain(*sturmian_pair(grids.characteristic_polynomial(spec)))
     return jacobi_from_chain(chain)
-
-
-def test_pochhammer():
-    assert families.poch(Fraction(3), 4) == 3 * 4 * 5 * 6
-    assert families.poch(Fraction(-2), 3) == 0
-    assert families.poch(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert families.poch(Fraction(5), 0) == 1
-
-
-def test_q_pochhammer():
-    q = Fraction(1, 2)
-    assert families.qpoch(Fraction(1, 2), q, 2) == Fraction(1, 2) * Fraction(3, 4)
-    assert families.qpoch(Fraction(1), q, 3) == 0
-    assert families.qpoch(Fraction(3), q, 0) == 1
 
 
 def test_hahn_anchor_coefficients():
@@ -73,10 +59,20 @@ def test_racah_mirror_parameter_map():
     assert families.jacobi_matrix(mirrored, 2) == mirror_dual(jm)
 
 
-def test_racah_nodes_and_mass():
-    fam = families.Racah(Fraction(5, 2), Fraction(-1, 2), Fraction(1, 2), 2)
-    assert [fam.node(s) for s in range(3)] == [0, 2, 6]
-    assert fam.mass() == 3
+@pytest.mark.parametrize("fam, nodes, weights", [
+    (families.Racah(Fraction(5, 2), Fraction(-1, 2), Fraction(1, 2), 2),
+     [0, 2, 6], [Fraction(1, 3)] * 3),
+    (families.QHahn(Fraction(1), Fraction(1), Fraction(1, 2), 2),
+     [1, 2, 4], [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)]),
+    (families.Racah(Fraction(-7, 2), Fraction(1, 2), Fraction(1, 2), 2),
+     [0, 3, 8], [Fraction(25, 42), Fraction(8, 21), Fraction(1, 42)]),
+], ids=["racah-uniform", "qhahn", "racah"])
+def test_textbook_nodes_and_weights(fam, nodes, weights):
+    # the textbook measures (Koekoek, Lesky & Swarttouw 2010, 9.2 and
+    # 14.6), so a changed _a or _c closed form fails through the measure
+    sd = fam.weights()
+    assert sd.nodes == tuple(nodes)
+    assert sd.weights == tuple(weights)
 
 
 def test_qhahn_anchor_coefficients():
@@ -98,8 +94,8 @@ def test_qhahn_nodes():
     families.QHahn(Fraction(1), Fraction(1), Fraction(2, 3), 3),
 ], ids=["racah-N3", "racah-N2", "qhahn-N2", "qhahn-N3"])
 def test_qhahn_weights_sum_to_one(fam):
-    # the closed-form weights are a probability measure for the family's
-    # own recurrence: P_m, P_n orthogonal, and h_n = u_1 ... u_n
+    # the weights are a probability measure for the family's own
+    # recurrence: P_m, P_n orthogonal, and h_n = u_1 ... u_n
     n_max = fam.n_max
     jm = families.jacobi_matrix(fam, n_max)
     sd = fam.weights()
@@ -111,9 +107,10 @@ def test_qhahn_weights_sum_to_one(fam):
 
 
 def test_non_positive_weight_is_the_spectral_error():
-    # a = 3, b = 1, q = 1/2, N = 2 puts the weight -18/5 on s = 1
+    # a = 3, b = 1, q = 1/2, N = 2 has no positive measure: its matrix, built
+    # before any weight, already has u_1 < 0
     fam = families.QHahn(Fraction(3), Fraction(1), Fraction(1, 2), 2)
-    with pytest.raises(NonPositiveWeight, match="weight -18/5 at node 1"):
+    with pytest.raises(ValueError, match="u_1 = -234/5 must be positive"):
         fam.weights()
 
 
@@ -200,3 +197,6 @@ def test_racah_case_two_limit():
     # gamma + delta = 0 keeps the node law s(s + 1) for any gamma
     fam = families.Racah(Fraction(9, 2), Fraction(1), Fraction(-1), 2)
     assert [fam.node(s) for s in range(3)] == [0, 2, 6]
+    # but this family's matrix has u_2 = 0, so it carries no measure
+    with pytest.raises(ValueError, match="u_2 = 0 must be positive"):
+        fam.weights()

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package, and every
+public method and property of its classes, has a caller.
 
 A name counts as called when it appears as a name, an attribute or an
 import in a package module, in the acceptance gate, or in the benchmark
@@ -33,8 +34,21 @@ def test_every_public_definition_has_a_caller():
         | names_used(ROOT / "perfbench" / "tracing.py", strings=True)
     for path in modules:
         used |= names_used(path)
-    uncalled = [f"{path.name}: {node.name}" for path in modules
-                for node in ast.parse(path.read_text()).body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_") and node.name not in used]
+    uncalled = [f"{path.name}: {shown}" for path in modules
+                for shown, name in public_definitions(path)
+                if name not in used]
     assert uncalled == []
+
+
+def public_definitions(path):
+    """(shown name, called name) of each public top-level function and
+    class, and of each public method and property of a top-level class."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
